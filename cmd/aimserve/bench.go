@@ -172,7 +172,7 @@ func benchOnce(network string, workers, queue int, target time.Duration, steadyR
 	if err != nil {
 		return benchResult{}, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	//aimlint:allow no-naked-go — the HTTP listener's accept loop; net/http owns its concurrency, the pool owns the simulation's
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
@@ -217,7 +217,7 @@ func benchNoLadder(workers, queue int, network string, rate, secs float64) (benc
 	if err != nil {
 		return benchPhase{}, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	//aimlint:allow no-naked-go — accept loop for the ladder-off control server, same shape as the laddered one
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()

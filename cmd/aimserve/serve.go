@@ -72,7 +72,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "aimserve serve: %v\n", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	//aimlint:allow no-naked-go — signal watcher for graceful drain; blocks on the OS, not on simulation work
@@ -96,4 +96,25 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// Listener timeouts for every HTTP server this command hosts. Header
+// and request reads are bounded so a client that stalls mid-request
+// cannot hold a connection open forever, and idle keep-alive
+// connections are reaped. There is no write timeout: a spatial-tier
+// answer can legitimately take longer than any fixed bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the listener timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -1,8 +1,9 @@
-// Package booster implements IR-Booster (paper §5.5): the per-group
-// level adjustment state machine of Algorithm 2, driven by
+// Package booster implements IR-Booster's per-group state (paper
+// §5.5): the level adjustment state machine of Algorithm 2, driven by
 // software-derived safe levels (from HR) and hardware IRFailure
-// signals, plus the MacroSet stall/recompute pipeline of Fig. 11 that
-// preserves results when a failure forces a macro to re-execute.
+// signals. The chip-level wiring — monitors, frequency sync and the
+// Fig. 11 MacroSet stall/recompute pipeline — lives in sim's effects
+// pass (internal/sim/wave.go), the one place the experiments run it.
 package booster
 
 import (
@@ -30,7 +31,6 @@ type LevelAdjuster struct {
 	safeCounter int
 
 	// Telemetry.
-	failures   int
 	demotions  int
 	promotions int
 }
@@ -54,9 +54,6 @@ func (a *LevelAdjuster) Level() vf.Level { return a.level }
 // ALevel returns the current aggressive level.
 func (a *LevelAdjuster) ALevel() vf.Level { return a.aLevel }
 
-// Failures returns the IRFailure count observed so far.
-func (a *LevelAdjuster) Failures() int { return a.failures }
-
 // Demotions and Promotions expose a-level movement counts.
 func (a *LevelAdjuster) Demotions() int { return a.demotions }
 
@@ -70,7 +67,6 @@ func (a *LevelAdjuster) Promotions() int { return a.promotions }
 func (a *LevelAdjuster) Step(irFailure bool, freqSync bool, setLevel vf.Level) vf.Level {
 	switch {
 	case irFailure:
-		a.failures++
 		a.level = a.Safe              // line 5: set safe level
 		if a.safeCounter < a.Beta/5 { // line 6: failure interval < 0.2β
 			// Overly aggressive: demote the a-level (lines 7-8), but

@@ -178,70 +178,3 @@ func TestSafeLevelFor(t *testing.T) {
 		t.Errorf("HR>60%% must revert to DVFS, got %v", got)
 	}
 }
-
-func TestSetPipelineFailureFree(t *testing.T) {
-	p := NewSetPipeline(4)
-	for i := 0; i < 10; i++ {
-		if got := p.Advance(nil); got != 2 {
-			t.Fatalf("failure-free unit took %d steps, want 2", got)
-		}
-	}
-	if p.Utilization() != 1.0 {
-		t.Errorf("utilization = %v, want 1", p.Utilization())
-	}
-	if p.Useful() != 10 || p.Total() != 20 {
-		t.Errorf("useful=%d total=%d", p.Useful(), p.Total())
-	}
-}
-
-func TestSetPipelineFailureCostsTwoSteps(t *testing.T) {
-	p := NewSetPipeline(4)
-	if got := p.Advance([]int{1}); got != 4 {
-		t.Fatalf("failed unit took %d steps, want 4", got)
-	}
-	// Fig. 11: failing macro runs Re, Re'; others bubble.
-	tr1 := p.Trace(1)
-	if tr1[1] != StepAdjust || tr1[2] != StepRecompute {
-		t.Errorf("macro 1 trace = %v", tr1)
-	}
-	tr0 := p.Trace(0)
-	if tr0[1] != StepBubble || tr0[2] != StepBubble {
-		t.Errorf("macro 0 trace = %v", tr0)
-	}
-	if p.Utilization() != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", p.Utilization())
-	}
-}
-
-func TestSetPipelinePanicsOnBadIndex(t *testing.T) {
-	p := NewSetPipeline(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.Advance([]int{5})
-}
-
-// DESIGN.md invariant 8 (structural form): recompute preserves the
-// count of useful work units regardless of failure pattern.
-func TestRecomputePreservesWorkProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := xrand.New(seed)
-		p := NewSetPipeline(1 + g.Intn(6))
-		units := 50
-		for i := 0; i < units; i++ {
-			var failed []int
-			for m := 0; m < p.Macros; m++ {
-				if g.Bernoulli(0.1) {
-					failed = append(failed, m)
-				}
-			}
-			p.Advance(failed)
-		}
-		return p.Useful() == units && p.Utilization() <= 1.0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}

@@ -4,7 +4,7 @@ package irdrop
 // et al. [21]): a free-oscillating inverter loop whose frequency falls
 // with supply voltage. The phase is sampled over a short window; if the
 // implied supply voltage is below the configured threshold, the monitor
-// raises IRFailure toward the Booster Controller.
+// raises IRFailure toward the IR-Booster (sim's effects pass).
 type Monitor struct {
 	// VddMV is the nominal supply in millivolts.
 	VddMV float64
@@ -31,7 +31,8 @@ func NewMonitor(vddMV, toleratedDropMV float64) *Monitor {
 }
 
 // SetToleratedDrop re-arms the monitor for a new V-f level's tolerated
-// drop (the Booster Controller does this on every level change).
+// drop. The IR-Booster (sim's effects pass) does this on every level
+// change.
 func (m *Monitor) SetToleratedDrop(toleratedDropMV float64) {
 	m.ThresholdMV = m.VddMV - toleratedDropMV
 }

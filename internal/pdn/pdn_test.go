@@ -40,15 +40,6 @@ func TestGridPanics(t *testing.T) {
 	}
 }
 
-func TestMinOfEmptyTraceIsNaN(t *testing.T) {
-	if v := MinOf(nil); !math.IsNaN(v) {
-		t.Errorf("MinOf(nil) = %v, want the NaN sentinel", v)
-	}
-	if v := MinOf([]float64{}); !math.IsNaN(v) {
-		t.Errorf("MinOf(empty) = %v, want the NaN sentinel", v)
-	}
-}
-
 func TestSolveZeroCurrentGivesVdd(t *testing.T) {
 	g := NewGrid(8, 8, 0.75, 10, 50, 4)
 	v, _ := g.Solve(make([]float64, 64), 1e-9, 1000)

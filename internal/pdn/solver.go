@@ -132,9 +132,9 @@ const coarsestMaxCells = 32
 // resistive mesh with a red-black Gauss-Seidel smoother, summed
 // (current-conserving) restriction, bilinear prolongation, and a
 // warm-start cache. Repeated solves with incrementally changing
-// current maps — per-group Rtog sweeps, V-f calibration, transient
-// stepping — start from the previous voltage field instead of all-Vdd,
-// typically converging in a couple of V-cycles.
+// current maps — per-group Rtog sweeps, V-f calibration — start from
+// the previous voltage field instead of all-Vdd, typically converging
+// in a couple of V-cycles.
 //
 // Red-black sweeps fan out over internal/runner in row bands; cells of
 // one color read only the other color, so the result is bit-identical

@@ -11,14 +11,14 @@ package pdn
 //	A[i][j]   = -gmesh for each mesh neighbour j
 //	b[i]      = padG[i]·Vdd − current[i]                 (= rhs)
 //
-// The same kernel serves three consumers: the retained Gauss-Seidel
+// The same kernel serves two consumers: the retained Gauss-Seidel
 // reference (which keeps the original's exact floating-point op order,
-// so its iterates stay bit-identical to the historical solver), the
-// multigrid smoother/residual (red-black order, checkerboard-parallel),
-// and the transient integrator. Coarse multigrid levels are stencils
-// too: coarsen() aggregates 2×2 cell blocks, keeping the
-// scale-invariant sheet conductance and summing pad conductances into
-// the owning block with a spreading-resistance correction.
+// so its iterates stay bit-identical to the historical solver) and the
+// multigrid smoother/residual (red-black order, checkerboard-parallel).
+// Coarse multigrid levels are stencils too: coarsen() aggregates 2×2
+// cell blocks, keeping the scale-invariant sheet conductance and
+// summing pad conductances into the owning block with a
+// spreading-resistance correction.
 type stencil struct {
 	w, h  int
 	gmesh float64

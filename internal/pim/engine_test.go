@@ -1,7 +1,6 @@
 package pim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -136,61 +135,6 @@ func TestEngineClampCounting(t *testing.T) {
 	}
 	if e.MacroCount() != 1 {
 		t.Errorf("macros = %d", e.MacroCount())
-	}
-}
-
-func TestADCConvertIdealAtHighResolution(t *testing.T) {
-	adc := ADC{Bits: 16, FullScale: 1024}
-	for _, v := range []float64{0, 1, -1, 513, -1000} {
-		got := adc.Convert(v)
-		if math.Abs(float64(got)-v) > 1024.0/32768+1e-9 {
-			t.Errorf("Convert(%v) = %v", v, got)
-		}
-	}
-}
-
-func TestADCSaturates(t *testing.T) {
-	adc := ADC{Bits: 8, FullScale: 128}
-	if got := adc.Convert(1e9); got > 128 {
-		t.Errorf("positive saturation failed: %d", got)
-	}
-	if got := adc.Convert(-1e9); got < -129 {
-		t.Errorf("negative saturation failed: %d", got)
-	}
-}
-
-func TestAnalogBankIdealMatchesDigital(t *testing.T) {
-	g := xrand.New(4)
-	codes := randCodes(5, 32)
-	b := NewAnalogBank(codes, 32, 8, 14) // generous ADC, no drop
-	input := make([]int32, 32)
-	for i := range input {
-		input[i] = int32(g.Intn(255) - 127)
-	}
-	got := b.DotAnalog(input, 8, 0, nil)
-	want := b.DotDirect(input)
-	// A 14-bit ADC over this range quantizes coarsely enough to leave
-	// only small residue.
-	if math.Abs(float64(got-want)) > float64(abs64(want))/50+600 {
-		t.Errorf("analog %d vs digital %d", got, want)
-	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func TestAnalogErrorGrowsWithDrop(t *testing.T) {
-	// §3.1: IR-drop directly degrades APIM computational accuracy.
-	codes := randCodes(6, 64)
-	b := NewAnalogBank(codes, 64, 8, 10)
-	low := b.AnalogError(8, 20, 200, xrand.New(7))
-	high := b.AnalogError(8, 120, 200, xrand.New(7))
-	if high <= low {
-		t.Errorf("error at 120 mV (%v) should exceed error at 20 mV (%v)", high, low)
 	}
 }
 

@@ -49,11 +49,6 @@ func DefaultConfig() Config {
 	return Config{Kind: DPIM, Groups: 16, MacrosPerGroup: 4, BanksPerMacro: 64, CellsPerBank: 128, WeightBits: 8}
 }
 
-// APIMConfig is the 28nm 128×32 APIM macro of §7.
-func APIMConfig() Config {
-	return Config{Kind: APIM, Groups: 1, MacrosPerGroup: 1, BanksPerMacro: 32, CellsPerBank: 128, WeightBits: 8}
-}
-
 // Macros returns the total macro count.
 func (c Config) Macros() int { return c.Groups * c.MacrosPerGroup }
 

@@ -279,7 +279,4 @@ func TestMacroKindString(t *testing.T) {
 	if DPIM.String() != "DPIM" || APIM.String() != "APIM" {
 		t.Error("kind names wrong")
 	}
-	if APIMConfig().Kind != APIM {
-		t.Error("APIMConfig kind")
-	}
 }

@@ -321,8 +321,16 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 					gr.pair = table.PairFor(gr.level, opt.Mode)
 					gr.tolerated = m.Estimate(gr.level.Rtog()) + guardSigma*noiseMV
 					gr.monitor.SetToleratedDrop(gr.tolerated)
-					// Frequency synchronization: peers hosting the same
-					// ops observe the change (Algorithm 2 lines 11-13).
+					// Frequency synchronization (Algorithm 2 lines
+					// 11-13) as modelled here: each peer group hosting
+					// one of this group's ops takes the sync branch at
+					// its own level, which only resets its β stability
+					// counter. Its level and V-f pair stay put. The set
+					// runs at one frequency because the op-progress
+					// loop below clocks each op at the minimum over its
+					// hosting groups. Moving peers to the set's level
+					// (line 12, L ← L_set) would change pinned results,
+					// so it is a deliberate, deferred divergence.
 					for _, ti := range gr.occupied {
 						for _, og := range groupsWithOp[tasks[ti].OpID] {
 							if og != g && groups[og] != nil && groups[og].adj != nil {
@@ -339,13 +347,11 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 		// Fig. 11 recovery: an IRFailure anywhere in a MacroSet stalls
 		// the whole set for the Re + Re' waves — once per cycle, no
 		// matter how many of its groups failed simultaneously
-		// (recoveries overlap), bounded against pathological pile-up.
+		// (recoveries overlap).
 		for op := 0; op < numOps; op++ {
 			if opFailedNow[op] {
 				opFailedNow[op] = false
-				if opStall[op] < 6 {
-					opStall[op] += 2
-				}
+				opStall[op] = recoveryStall(opStall[op])
 			}
 		}
 		// Operator progress and MacroSet frequency sync: an op advances
@@ -408,6 +414,20 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 	}
 	res.useful = usefulMin
 	return res
+}
+
+// maxRecoveryStall bounds an op's pending recovery cycles against
+// pathological pile-up of failures in consecutive cycles.
+const maxRecoveryStall = 6
+
+// recoveryStall returns an op's pending stall cycles after an
+// IRFailure this cycle: the Re + Re' waves add two, unless the pending
+// stall has already reached maxRecoveryStall.
+func recoveryStall(pending int) int {
+	if pending < maxRecoveryStall {
+		return pending + 2
+	}
+	return pending
 }
 
 // Adaptive-cadence thresholds, as implied-drop fractions of the
