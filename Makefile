@@ -28,13 +28,17 @@ race:
 # Fuzz smoke: a few seconds per native fuzz target on the three
 # hostile input boundaries — the HTTP submit decoder, the scenario-mix
 # parser, and the plan-store container decoder (whose bytes arrive
-# from disk, where anything can have happened to them). PRs 2–6 each
-# fixed a panic at an input boundary; this keeps the corpus growing
-# without paying a long fuzz campaign in CI.
+# from disk, where anything can have happened to them) — plus the
+# bulk Bernoulli fill, whose bits every pinned table depends on and
+# which must match per-draw Bernoulli calls for any p, length and
+# generator offset. PRs 2–6 each fixed a panic at an input boundary;
+# this keeps the corpus growing without paying a long fuzz campaign in
+# CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSubmitDecode' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzParseMix' -fuzztime 10s ./cmd/aimserve
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDecode' -fuzztime 10s ./internal/planstore
+	$(GO) test -run '^$$' -fuzz 'FuzzFillBernoulli' -fuzztime 10s ./internal/xrand
 
 # Bench smoke: one iteration of the Fig. 3 regeneration proves the
 # benchmark harness wires up without paying full benchmark time.
@@ -68,9 +72,11 @@ awk -v ratio="$$BENCH_RATIO" 'BEGIN { n = 0 } \
        printf "\n}\n" }'
 endef
 
-# Perf trajectory: ns/op of the packed vs legacy Rtog hot path and the
-# end-to-end sim fidelity modes, rendered as BENCH_rtog.json — the
-# artifact CI uploads on every run so regressions show up as a series.
+# Perf trajectory: ns/op of the packed vs legacy Rtog hot path, the
+# bulk toggle fill that feeds it (one 128-cell bank's input lines per
+# op), and the end-to-end sim fidelity modes, rendered as
+# BENCH_rtog.json — the artifact CI uploads on every run so
+# regressions show up as a series.
 # Three full passes, interleaved by invocation rather than go test's
 # -count (which repeats each benchmark consecutively and lets slow
 # machine drift bias whichever name runs later); the shell loop exits
@@ -79,6 +85,7 @@ bench-rtog:
 	@rm -f BENCH_rtog.txt
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'BenchmarkRtog' -benchtime 1000x ./internal/pim >> BENCH_rtog.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkFillBernoulli$$' -benchtime 100000x ./internal/xrand >> BENCH_rtog.txt || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkSim(Packed(Bytes|Parallel)?|Analytic)$$' -benchtime 5x ./internal/sim >> BENCH_rtog.txt || exit 1; \
 	done
 	@$(bench_json) BENCH_rtog.txt > BENCH_rtog.json

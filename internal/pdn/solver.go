@@ -150,7 +150,10 @@ type Multigrid struct {
 	err [][]float64
 	// v is the warm-start cache: the converged field of the previous
 	// solve, used as the next initial guess while WarmStart is true.
-	v []float64
+	// cold marks it stale after Reset, so the next solve starts from
+	// all-Vdd in the same buffer instead of allocating a new field.
+	v    []float64
+	cold bool
 	// Workers bounds the checkerboard sweep fan-out: 0 means one per
 	// CPU (GOMAXPROCS), 1 forces serial sweeps. Grids below
 	// parallelMinCells always sweep serially.
@@ -182,8 +185,8 @@ func NewMultigrid(g *Grid) *Multigrid {
 }
 
 // Reset drops the warm-start cache; the next Solve starts from the
-// all-Vdd field.
-func (m *Multigrid) Reset() { m.v = nil }
+// all-Vdd field. The field buffer itself is kept for that solve.
+func (m *Multigrid) Reset() { m.cold = true }
 
 // Solve runs V-cycles until a full cycle moves no cell by more than
 // tol volts (the analogue of the Gauss-Seidel sweep criterion) or
@@ -239,7 +242,7 @@ func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int,
 		panic(fmt.Sprintf("pdn: current map size %d != %d", len(current), n))
 	}
 	m.levels[0].rhs(g.Vdd, current, m.rhs[0])
-	warm := m.v != nil && m.WarmStart
+	warm := m.v != nil && m.WarmStart && !m.cold
 	if !warm {
 		if m.v == nil {
 			m.v = make([]float64, n)
@@ -247,6 +250,7 @@ func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int,
 		for i := range m.v {
 			m.v[i] = g.Vdd
 		}
+		m.cold = false
 	}
 	if warm && holdTol > 0 && m.levels[0].jacobiDelta(m.v, m.rhs[0]) < holdTol {
 		return m.v, 0, true

@@ -233,6 +233,34 @@ func TestMultigridResetColdStarts(t *testing.T) {
 	}
 }
 
+// TestMultigridResetKeepsField: a Reset after warm solves of other
+// maps must solve bit-identically to a fresh instance, reusing the
+// field buffer without allocating.
+func TestMultigridResetKeepsField(t *testing.T) {
+	g := NewGrid(32, 32, 0.75, 18, 45, 8)
+	a, b := randomCurrent(32*32, 19, 0.01), randomCurrent(32*32, 29, 0.02)
+	mg := NewMultigrid(g)
+	mg.SolveField(a, 1e-6, 50)
+	mg.SolveField(b, 1e-6, 50)
+	mg.Reset()
+	got, itGot := mg.SolveField(a, 1e-6, 50)
+	want, itWant := NewMultigrid(g).SolveField(a, 1e-6, 50)
+	if itGot != itWant {
+		t.Errorf("reset solve used %d cycles, fresh solve %d", itGot, itWant)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset solve diverged from a fresh solve at cell %d", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		mg.Reset()
+		mg.SolveField(b, 1e-6, 50)
+	}); allocs != 0 {
+		t.Errorf("Reset + SolveField allocated %v times per run, want 0", allocs)
+	}
+}
+
 // TestMultigridSolveCopies: the returned field must not alias the
 // warm-start cache.
 func TestMultigridSolveCopies(t *testing.T) {

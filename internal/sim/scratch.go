@@ -70,6 +70,7 @@ type waveScratch struct {
 	bytes  [][]uint8
 	byteN  int
 	codes  []int32
+	bits   []uint64
 	toggle []*groupToggles
 	togN   int
 	rng    *xrand.RNG
@@ -166,8 +167,8 @@ func (s *waveScratch) taskHRBuf(n int) []float64 {
 }
 
 // shardRNG returns the wave's shard stream, reseeding the worker's
-// pooled generator in place (the ~5 KB math/rand state is the single
-// biggest per-wave allocation after the banks). Draw sequences are
+// pooled generator in place (its 4.9 KB buffer is the single biggest
+// per-wave allocation after the banks). Draw sequences are
 // identical to a fresh NewShard.
 func (s *waveScratch) shardRNG(seed int64, name string, shard int) *xrand.RNG {
 	if s == nil {
@@ -282,6 +283,20 @@ func (s *waveScratch) codeBuf(n int) []int32 {
 		s.codes = make([]int32, n)
 	}
 	return s.codes[:n]
+}
+
+// codeBits returns the buffer drawCodes fills with n weight bits
+// (sliced into codes before the next task draws, so one buffer serves
+// every task).
+func (s *waveScratch) codeBits(n int) []uint64 {
+	words := stream.Words(n)
+	if s == nil {
+		return make([]uint64, words)
+	}
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	}
+	return s.bits[:words]
 }
 
 // toggles pools the per-group engine structs, keeping each one's bank

@@ -5,7 +5,6 @@ import (
 
 	"aim/internal/irdrop"
 	"aim/internal/pim"
-	"aim/internal/stream"
 	"aim/internal/xrand"
 )
 
@@ -104,20 +103,30 @@ func newGroupToggles(cfg pim.Config, taskHRs []float64, rng *xrand.RNG, useBytes
 	if useBytes {
 		gt.bytes = scratch.byteBuf(n)
 	}
+	codes, bits := scratch.codeBuf(n), scratch.codeBits(n*q)
 	for _, hr := range taskHRs {
-		codes := scratch.codeBuf(n)
-		for k := range codes {
-			var code uint32
-			for i := 0; i < q; i++ {
-				if rng.Bernoulli(hr) {
-					code |= 1 << uint(i)
-				}
-			}
-			codes[k] = valueOfCode(code, q)
-		}
+		drawCodes(codes, q, hr, rng, bits)
 		gt.banks = append(gt.banks, scratch.bank(codes, n, q))
 	}
 	return gt
+}
+
+// drawCodes fills codes with q-bit weights whose every bit is
+// Bernoulli(hr), drawn cell-major then bit-minor: bit i of code k is
+// draw k·q+i. One bulk fill into bits draws them all; each code is
+// then sliced out of bits [k·q, k·q+q).
+func drawCodes(codes []int32, q int, hr float64, rng *xrand.RNG, bits []uint64) {
+	rng.FillBernoulli(bits, len(codes)*q, hr)
+	mask := uint64(1)<<uint(q) - 1
+	for k := range codes {
+		off := k * q
+		w, b := off/64, uint(off%64)
+		code := bits[w] >> b
+		if b+uint(q) > 64 {
+			code |= bits[w+1] << (64 - b)
+		}
+		codes[k] = valueOfCode(uint32(code&mask), q)
+	}
 }
 
 // valueOfCode inverts fxp.Code: the signed value whose q-bit two's
@@ -134,7 +143,7 @@ func valueOfCode(code uint32, q int) int32 {
 // per-cell draws happen in cell order on both paths, so packed and
 // byte-reference runs consume the same RNG stream.
 func (gt *groupToggles) next(p float64, rng *xrand.RNG) {
-	stream.FillBernoulli(gt.words, gt.cells, p, rng)
+	rng.FillBernoulli(gt.words, gt.cells, p)
 	if gt.bytes != nil {
 		for k := range gt.bytes {
 			gt.bytes[k] = uint8(gt.words[k/64] >> uint(k%64) & 1)

@@ -23,6 +23,35 @@ func TestValueOfCodeInvertsFxpCode(t *testing.T) {
 	}
 }
 
+// TestDrawCodesMatchesPerDrawLoop: the bulk-filled weight codes must
+// equal a cell-major, bit-minor loop of per-bit Bernoulli draws, for
+// widths whose codes do and do not straddle 64-bit words, and leave
+// the generator where that loop would.
+func TestDrawCodesMatchesPerDrawLoop(t *testing.T) {
+	const cells = 128
+	for _, q := range []int{2, 5, 8, 16} {
+		for _, hr := range []float64{0, 0.3, 0.5, 1} {
+			bulk, ref := xrand.New(int64(q)), xrand.New(int64(q))
+			got := make([]int32, cells)
+			drawCodes(got, q, hr, bulk, make([]uint64, (cells*q+63)/64))
+			for k := range got {
+				var code uint32
+				for i := 0; i < q; i++ {
+					if ref.Bernoulli(hr) {
+						code |= 1 << uint(i)
+					}
+				}
+				if want := valueOfCode(code, q); got[k] != want {
+					t.Fatalf("q=%d hr=%v: code %d = %d, per-draw loop %d", q, hr, k, got[k], want)
+				}
+			}
+			if a, b := bulk.Int63(), ref.Int63(); a != b {
+				t.Fatalf("q=%d hr=%v: next draw %d, per-draw loop %d", q, hr, a, b)
+			}
+		}
+	}
+}
+
 func TestGroupTogglesHRMatchesTask(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	rng := xrand.New(1)

@@ -232,22 +232,7 @@ func (b *Bernoulli) NextToggles(dst []uint64) bool {
 	if p > 1 {
 		p = 1
 	}
-	FillBernoulli(dst, b.N, p, b.rng)
+	b.rng.FillBernoulli(dst, b.N, p)
 	b.t++
 	return true
-}
-
-// FillBernoulli fills dst with N packed independent Bernoulli(p) bits,
-// drawing from rng in cell order (tail bits are cleared). It is the
-// shared per-cycle toggle generator of the Bernoulli source and the
-// simulator's packed-fidelity wave loop.
-func FillBernoulli(dst []uint64, n int, p float64, rng *xrand.RNG) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		if rng.Bernoulli(p) {
-			dst[k/64] |= 1 << uint(k%64)
-		}
-	}
 }
