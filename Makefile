@@ -52,18 +52,21 @@ bench:
 # ns/op string is preserved verbatim. A benchmark reporting a sat/op
 # metric column (the spatial benches' saturated-solve rate) carries its
 # WORST observed rate as "saturated" — accuracy debt must not hide in a
-# lucky pass. Setting BENCH_RATIO=key=NumBench/DenBench appends one
-# headline quotient of the min-of-N numbers to the document.
+# lucky pass. A benchmark that calls b.SetBytes carries the MB/s of
+# its fastest run as "mb_per_s". Setting BENCH_RATIO=key=NumBench/DenBench
+# appends one headline quotient of the min-of-N numbers to the document.
 define bench_json
 awk -v ratio="$$BENCH_RATIO" 'BEGIN { n = 0 } \
      /^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
-       if (!(name in best) || $$3+0 < best[name]) { best[name]=$$3+0; ns[name]=$$3; iters[name]=$$2 } \
+       mb = ""; for (f=3; f<NF; f++) if ($$(f+1) == "MB/s") mb=$$f; \
+       if (!(name in best) || $$3+0 < best[name]) { best[name]=$$3+0; ns[name]=$$3; iters[name]=$$2; mbs[name]=mb } \
        passes[name]++; \
        for (f=3; f<NF; f++) if ($$(f+1) == "sat/op") { hasSat[name]=1; if ($$f+0 > sat[name]) sat[name]=$$f+0 } \
        if (!(name in seen)) { seen[name]=1; order[++n]=name } } \
      END { printf "{\n  \"benchmarks\": ["; \
        for (i=1;i<=n;i++) { nm=order[i]; if (i>1) printf ","; \
          printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"passes\": %d", nm, iters[nm], ns[nm], passes[nm]; \
+         if (mbs[nm] != "") printf ", \"mb_per_s\": %s", mbs[nm]; \
          if (nm in hasSat) printf ", \"saturated\": %g", sat[nm]; \
          printf "}" } \
        printf "\n  ]"; \
@@ -145,7 +148,9 @@ bench-spatial:
 # Plan-store trajectory: a simulated process restart against a warm
 # persistent plan store (read+decode instead of compile) beside the
 # cold-compile and warm-memory bounds it sits between, plus the raw
-# codec halves — emitted as BENCH_planstore.json beside the other
+# codec halves and a store read that adopts an already-held network,
+# for both networks a restart loads (with MB/s of encoded plan) —
+# emitted as BENCH_planstore.json beside the other
 # series. The acceptance bars: BenchmarkServeRestartWarmDisk at most
 # 10x BenchmarkServeCachedRequest and at least 5x under
 # BenchmarkServeColdCompile.
@@ -153,7 +158,7 @@ bench-planstore:
 	@rm -f BENCH_planstore.txt
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'BenchmarkServe(ColdCompile|CachedRequest|RestartWarmDisk)$$' -benchtime 5x ./internal/serve >> BENCH_planstore.txt || exit 1; \
-		$(GO) test -run '^$$' -bench 'BenchmarkPlan(Encode|Decode)$$' -benchtime 20x ./internal/planstore >> BENCH_planstore.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'Benchmark(Plan(Encode|Decode)|StoreGet)$$' -benchtime 20x ./internal/planstore >> BENCH_planstore.txt || exit 1; \
 	done
 	@$(bench_json) BENCH_planstore.txt > BENCH_planstore.json
 	@rm -f BENCH_planstore.txt

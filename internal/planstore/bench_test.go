@@ -16,19 +16,76 @@ func BenchmarkPlanEncode(b *testing.B) {
 	}
 }
 
+// restartNetworks are the networks a restart against a warm store
+// loads: the e2e compile-restart workload reads two mobilenetv2 plans
+// for every resnet18 one.
+var restartNetworks = []string{"resnet18", "mobilenetv2"}
+
 // BenchmarkPlanDecode pins the read half — header and integrity
 // checks plus full plan reconstruction — the per-key cost a restarted
-// process pays instead of a compile.
+// process pays instead of a compile. Throughput is in encoded bytes.
 func BenchmarkPlanDecode(b *testing.B) {
-	k := testKey("resnet18", 1)
-	data, err := Encode(k, compileTestPlan(b, "resnet18", 1))
-	if err != nil {
-		b.Fatal(err)
+	for _, network := range restartNetworks {
+		b.Run(network, func(b *testing.B) {
+			k := testKey(network, 1)
+			data, err := Encode(k, compileTestPlan(b, network, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(k, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(k, data); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// BenchmarkStoreGet pins what a restarted server pays per key once the
+// store already holds the key's network: a directory read plus a
+// decode that adopts the held network. Two keys of one network
+// alternate under a one-byte memory budget, so every Get misses the
+// memory tier and reads the disk.
+func BenchmarkStoreGet(b *testing.B) {
+	for _, network := range restartNetworks {
+		b.Run(network, func(b *testing.B) {
+			dir := b.TempDir()
+			w, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys := []Key{testKey(network, 1), testKey(network, 2)}
+			for _, k := range keys {
+				if err := w.Put(k, compileTestPlan(b, network, k.Seed)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			data, err := w.backend.Load(keys[0].Hash())
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := OpenDir(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(d, 1)
+			for _, k := range keys {
+				if _, ok := s.Get(k); !ok {
+					b.Fatalf("%s missed", k.ID())
+				}
+			}
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Get(keys[i%len(keys)]); !ok {
+					b.Fatal("store miss")
+				}
+			}
+			if st := s.Stats(); st.MemHits != 0 {
+				b.Fatalf("stats = %+v: a Get was answered from memory", st)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,25 +21,38 @@ import (
 	"aim/internal/vf"
 )
 
-// The on-disk container is
+// The on-disk container (format 2) is
 //
 //	magic "AIMPLAN1" | u32 format version | code-version string |
 //	key id string | u64 payload length | payload | sha256(payload)
 //
-// and the payload is a flat little-endian walk of the Plan: the
-// Network once, then both Compiled artifacts with every aliased
-// pointer written as an index — LayerPlan.Layer as an index into
-// Net.Layers, Wave.Plans as indices into Compiled.Plans — so decoding
-// rebuilds the exact sharing structure Compile produced, not a
-// deep-copied lookalike. Floats travel as IEEE-754 bit patterns
-// (math.Float64bits), so a decoded plan is bit-exact, and Execute on
-// it is byte-identical to Execute on the freshly compiled original.
+// and the payload is a flat little-endian walk of the Plan:
+//
+//	u64 network length | network | baseline Compiled | AIM Compiled
+//
+// The network comes once, framed by its byte length so a store can
+// recognise a network it already holds without decoding it again.
+// Both Compiled artifacts write every aliased pointer as an index —
+// LayerPlan.Layer as an index into Net.Layers, Wave.Plans as indices
+// into Compiled.Plans — so decoding rebuilds the exact sharing
+// structure Compile produced, not a deep-copied lookalike. Floats
+// travel as IEEE-754 bit patterns (math.Float64bits), so a decoded
+// plan is bit-exact, and Execute on it is byte-identical to Execute
+// on the freshly compiled original.
+//
+// A code tensor (tensor.Int) is written as its shape, its bit width,
+// one code-width byte, the code count and the codes. The code width is
+// 1, 2 or 4 bytes: the smallest that holds every code, each code
+// little-endian and sign-extended on read. The encoding is canonical —
+// one plan has exactly one encoding — so a decoder rejects a code
+// width wider than its codes need, and a network length that
+// disagrees with the section it frames, as corrupt.
 const (
 	// magic identifies a plan file; it never changes.
 	magic = "AIMPLAN1"
 	// FormatVersion is the container layout version. Bump it when the
 	// byte layout itself changes (new field, different framing).
-	FormatVersion = 1
+	FormatVersion = 2
 )
 
 // CodeVersion names the compiler/simulator generation a stored plan
@@ -53,7 +67,7 @@ const (
 // change (bump FormatVersion too in that case). Pure runtime knobs
 // (β, worker counts, fidelity tier) never require a bump: they are
 // outside the plan by design.
-const CodeVersion = "aim-plan-1"
+const CodeVersion = "aim-plan-2"
 
 // ErrCorrupt reports a plan file that failed structural or integrity
 // validation: wrong magic, truncation, a payload hash mismatch, or a
@@ -170,38 +184,38 @@ func ParseID(id string) (Key, error) {
 }
 
 // Encode serializes a compiled plan into the versioned container.
+// A size pass walks the plan once without writing, so the file is
+// built in a single buffer allocated at its final size.
 func Encode(k Key, p *core.Plan) ([]byte, error) {
 	if p == nil || p.Net == nil || p.Baseline == nil || p.AIM == nil {
 		return nil, errors.New("planstore: incomplete plan")
 	}
-	var payload writer
-	if err := payload.network(p.Net); err != nil {
+	id := k.id()
+	size := writer{sizing: true}
+	if err := size.file(id, p); err != nil {
 		return nil, err
 	}
-	if err := payload.compiled(p.Baseline, p.Net); err != nil {
+	w := writer{buf: make([]byte, 0, size.n)}
+	if err := w.file(id, p); err != nil {
 		return nil, err
 	}
-	if err := payload.compiled(p.AIM, p.Net); err != nil {
-		return nil, err
-	}
-
-	var f writer
-	f.buf = append(f.buf, magic...)
-	f.u32(FormatVersion)
-	f.str(CodeVersion)
-	f.str(k.id())
-	f.u64(uint64(len(payload.buf)))
-	f.buf = append(f.buf, payload.buf...)
-	sum := sha256.Sum256(payload.buf)
-	f.buf = append(f.buf, sum[:]...)
-	return f.buf, nil
+	return w.buf, nil
 }
 
 // Decode parses a plan file previously written by Encode for the same
 // key. It returns ErrStale for a valid file from another
 // format/code version and ErrCorrupt for anything structurally or
-// cryptographically wrong; it never panics on hostile bytes.
+// cryptographically wrong; it never panics on hostile bytes. The
+// returned plan shares nothing with any other plan.
 func Decode(k Key, data []byte) (*core.Plan, error) {
+	return decode(k, data, nil)
+}
+
+// decode is Decode with a store's table of held networks: a plan whose
+// network section is byte-identical to one in nets adopts that network
+// instead of decoding its own, and a newly decoded network is added.
+// A nil table decodes every network.
+func decode(k Key, data []byte, nets *netTable) (*core.Plan, error) {
 	r := reader{data: data}
 	if string(r.bytes(len(magic))) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -230,7 +244,22 @@ func Decode(k Key, data []byte) (*core.Plan, error) {
 	}
 
 	pr := reader{data: payload}
-	net := pr.network()
+	section := pr.bytes(pr.length(1))
+	if pr.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, pr.err)
+	}
+	net := nets.lookup(section)
+	if net == nil {
+		nr := reader{data: section}
+		net = nr.network()
+		if nr.err == nil && nr.off != len(section) {
+			nr.fail("network section length %d, network ends at %d", len(section), nr.off)
+		}
+		if nr.err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, nr.err)
+		}
+		net = nets.adopt(section, net)
+	}
 	baseline := pr.compiled(net)
 	aim := pr.compiled(net)
 	if pr.err != nil {
@@ -242,45 +271,118 @@ func Decode(k Key, data []byte) (*core.Plan, error) {
 	return &core.Plan{Net: net, Baseline: baseline, AIM: aim}, nil
 }
 
-// ---- writer ----
-
-// writer accumulates the little-endian encoding. Methods that can
-// observe an inconsistent plan (a dangling layer pointer) return an
-// error; plain scalar appends cannot fail.
-type writer struct {
-	buf []byte
+// codeWidth is the smallest width in bytes — 1, 2 or 4 — that holds
+// every code: the canonical width a code tensor is written at.
+func codeWidth(codes []int32) int {
+	lo, hi := int32(0), int32(0)
+	for _, c := range codes {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	switch {
+	case lo >= math.MinInt8 && hi <= math.MaxInt8:
+		return 1
+	case lo >= math.MinInt16 && hi <= math.MaxInt16:
+		return 2
+	}
+	return 4
 }
 
-func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// ---- writer ----
+
+// writer produces the little-endian encoding. Encode runs it twice
+// over the same plan: first as a size pass (sizing set), which only
+// counts the bytes it would write in n, then for real into a buffer
+// allocated at that size, so the file never grows or moves. Methods
+// that can observe an inconsistent plan (a dangling layer pointer)
+// return an error; plain scalar writes cannot fail.
+type writer struct {
+	buf    []byte
+	sizing bool
+	n      int
+}
+
+// put reserves k bytes at the end of the encoding and returns them for
+// the caller to fill; the size pass only counts them and returns nil.
+func (w *writer) put(k int) []byte {
+	if w.sizing {
+		w.n += k
+		return nil
+	}
+	n := len(w.buf)
+	w.buf = slices.Grow(w.buf, k)[:n+k]
+	return w.buf[n:]
+}
+
+// len is the number of bytes written (or, in the size pass, counted).
+func (w *writer) len() int {
+	if w.sizing {
+		return w.n
+	}
+	return len(w.buf)
+}
+
+func (w *writer) u8(v byte) {
+	if b := w.put(1); b != nil {
+		b[0] = v
+	}
+}
+
+func (w *writer) u32(v uint32) {
+	if b := w.put(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
+}
+
+func (w *writer) u64(v uint64) {
+	if b := w.put(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+// patchU64 overwrites the u64 written at offset at; the size pass has
+// nothing to patch.
+func (w *writer) patchU64(at int, v uint64) {
+	if !w.sizing {
+		binary.LittleEndian.PutUint64(w.buf[at:], v)
+	}
+}
+
 func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
 func (w *writer) int(v int)     { w.i64(int64(v)) }
 func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *writer) bool(v bool) {
 	if v {
-		w.buf = append(w.buf, 1)
+		w.u8(1)
 	} else {
-		w.buf = append(w.buf, 0)
+		w.u8(0)
 	}
 }
 
 func (w *writer) str(s string) {
 	w.u64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	copy(w.put(len(s)), s)
 }
 
 func (w *writer) ints(v []int) {
 	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.int(x)
+	b := w.put(8 * len(v))
+	if b == nil {
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
 	}
 }
 
 func (w *writer) floats(v []float64) {
 	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.f64(x)
+	b := w.put(8 * len(v))
+	if b == nil {
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -296,13 +398,65 @@ func (w *writer) floatTensor(t *tensor.Float) {
 func (w *writer) intTensor(t *tensor.Int) {
 	w.ints(t.Shape)
 	w.int(t.Bits)
+	width := codeWidth(t.Data)
+	w.u8(byte(width))
 	w.u64(uint64(len(t.Data)))
-	for _, x := range t.Data {
-		w.u32(uint32(x))
+	b := w.put(width * len(t.Data))
+	if b == nil {
+		return
+	}
+	switch width {
+	case 1:
+		for i, c := range t.Data {
+			b[i] = byte(c)
+		}
+	case 2:
+		for i, c := range t.Data {
+			binary.LittleEndian.PutUint16(b[2*i:], uint16(c))
+		}
+	default:
+		for i, c := range t.Data {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(c))
+		}
 	}
 }
 
-func (w *writer) network(n *model.Network) error {
+// file writes the whole container: the envelope, the payload, then
+// the payload's length and hash once both are known.
+func (w *writer) file(id string, p *core.Plan) error {
+	copy(w.put(len(magic)), magic)
+	w.u32(FormatVersion)
+	w.str(CodeVersion)
+	w.str(id)
+	at := w.len()
+	w.u64(0)
+	start := w.len()
+	if err := w.payload(p); err != nil {
+		return err
+	}
+	w.patchU64(at, uint64(w.len()-start))
+	var sum [sha256.Size]byte
+	if !w.sizing {
+		sum = sha256.Sum256(w.buf[start:])
+	}
+	copy(w.put(len(sum)), sum[:])
+	return nil
+}
+
+// payload writes the length-prefixed network section, then both
+// compiled artifacts.
+func (w *writer) payload(p *core.Plan) error {
+	at := w.len()
+	w.u64(0)
+	w.network(p.Net)
+	w.patchU64(at, uint64(w.len()-at-8))
+	if err := w.compiled(p.Baseline, p.Net); err != nil {
+		return err
+	}
+	return w.compiled(p.AIM, p.Net)
+}
+
+func (w *writer) network(n *model.Network) {
 	w.str(n.Name)
 	w.bool(n.Transformer)
 	p := n.Profile
@@ -325,7 +479,6 @@ func (w *writer) network(n *model.Network) error {
 		w.f64(l.SigmaMul)
 		w.floatTensor(l.Weights)
 	}
-	return nil
 }
 
 func (w *writer) compiled(c *compiler.Compiled, net *model.Network) error {
@@ -420,12 +573,16 @@ func (w *writer) compiled(c *compiler.Compiled, net *model.Network) error {
 // problem (truncation, an implausible length, an out-of-range index)
 // poisons every later read, so decode logic reads straight through and
 // checks err once. Every length is validated against the bytes that
-// remain before anything is allocated — hostile input cannot cause a
-// panic or an outsized allocation.
+// remain before anything is allocated, and a bulk read takes its whole
+// slice at once — hostile input cannot cause a panic, and no
+// allocation exceeds a small constant multiple of the file size.
 type reader struct {
 	data []byte
 	off  int
 	err  error
+	// names interns task op names for one decode: they repeat across
+	// waves and stages, so each distinct name is allocated once.
+	names map[string]string
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -445,6 +602,14 @@ func (r *reader) bytes(n int) []byte {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+func (r *reader) u8() byte {
+	b := r.bytes(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
 }
 
 func (r *reader) u32() uint32 {
@@ -467,14 +632,11 @@ func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) int() int     { return int(r.i64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *reader) bool() bool {
-	b := r.bytes(1)
-	return b != nil && b[0] != 0
-}
+func (r *reader) bool() bool { return r.u8() != 0 }
 
 // length reads a count and sanity-checks it against the smallest
 // possible per-element footprint, so a corrupted length cannot demand
-// an allocation larger than the file itself.
+// an allocation out of proportion to the file itself.
 func (r *reader) length(elemSize int) int {
 	n := r.u64()
 	if r.err != nil {
@@ -492,26 +654,54 @@ func (r *reader) str() string {
 	return string(r.bytes(n))
 }
 
-func (r *reader) ints() []int {
-	n := r.length(8)
+// name reads a string through the decode's intern table.
+func (r *reader) name() string {
+	b := r.bytes(r.length(1))
 	if r.err != nil {
+		return ""
+	}
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	if r.names == nil {
+		r.names = make(map[string]string)
+	}
+	s := string(b)
+	r.names[s] = s
+	return s
+}
+
+// words reads a count of elemSize-byte elements and returns their
+// bytes as one slice, or nil after an error.
+func (r *reader) words(elemSize int) (int, []byte) {
+	n := r.length(elemSize)
+	b := r.bytes(elemSize * n)
+	if r.err != nil {
+		return 0, nil
+	}
+	return n, b
+}
+
+func (r *reader) ints() []int {
+	n, b := r.words(8)
+	if b == nil {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = r.int()
+		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return out
 }
 
 func (r *reader) floats() []float64 {
-	n := r.length(8)
-	if r.err != nil {
+	n, b := r.words(8)
+	if b == nil {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -531,13 +721,35 @@ func (r *reader) floatTensor() *tensor.Float {
 func (r *reader) intTensor() *tensor.Int {
 	shape := r.ints()
 	bits := r.int()
-	n := r.length(4)
+	width := int(r.u8())
+	if r.err == nil && width != 1 && width != 2 && width != 4 {
+		r.fail("code width %d at offset %d (want 1, 2 or 4)", width, r.off-1)
+	}
 	if r.err != nil {
 		return nil
 	}
+	n, b := r.words(width)
+	if b == nil {
+		return nil
+	}
 	data := make([]int32, n)
-	for i := range data {
-		data[i] = int32(r.u32())
+	switch width {
+	case 1:
+		for i := range data {
+			data[i] = int32(int8(b[i]))
+		}
+	case 2:
+		for i := range data {
+			data[i] = int32(int16(binary.LittleEndian.Uint16(b[2*i:])))
+		}
+	default:
+		for i := range data {
+			data[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	}
+	if width > 1 && codeWidth(data) != width {
+		r.fail("code width %d where %d holds every code", width, codeWidth(data))
+		return nil
 	}
 	return &tensor.Int{Shape: shape, Data: data, Bits: bits}
 }
@@ -626,25 +838,34 @@ func (r *reader) compiled(net *model.Network) *compiler.Compiled {
 	c.Waves = make([]*compiler.Wave, 0, nw)
 	for i := 0; i < nw && r.err == nil; i++ {
 		wv := &compiler.Wave{}
-		npl := r.length(8)
-		for j := 0; j < npl && r.err == nil; j++ {
-			pi := r.int()
-			if r.err == nil {
-				if pi < 0 || pi >= len(c.Plans) {
-					r.fail("wave plan index %d out of range [0,%d)", pi, len(c.Plans))
-				} else {
-					wv.Plans = append(wv.Plans, c.Plans[pi])
-				}
-			}
+		if npl := r.length(8); npl > 0 {
+			wv.Plans = make([]*compiler.LayerPlan, npl)
 		}
-		nt := r.length(1)
-		for j := 0; j < nt && r.err == nil; j++ {
-			var t mapping.Task
-			t.Op = r.str()
+		for j := range wv.Plans {
+			pi := r.int()
+			if r.err != nil {
+				break
+			}
+			if pi < 0 || pi >= len(c.Plans) {
+				r.fail("wave plan index %d out of range [0,%d)", pi, len(c.Plans))
+				break
+			}
+			wv.Plans[j] = c.Plans[pi]
+		}
+		// A task takes at least 25 bytes: op name length, OpID, HR
+		// and InputDetermined.
+		if nt := r.length(25); nt > 0 {
+			wv.Tasks = make([]mapping.Task, nt)
+		}
+		for j := range wv.Tasks {
+			t := &wv.Tasks[j]
+			t.Op = r.name()
 			t.OpID = r.int()
 			t.HR = r.f64()
 			t.InputDetermined = r.bool()
-			wv.Tasks = append(wv.Tasks, t)
+			if r.err != nil {
+				break
+			}
 		}
 		assign := r.ints()
 		var cfg pim.Config

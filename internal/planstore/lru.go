@@ -4,14 +4,14 @@ import (
 	"container/list"
 	"sync"
 
+	"aim/internal/compiler"
 	"aim/internal/core"
 )
 
 // lru is the in-memory tier of the two-tier cache: decoded plans keyed
 // by their content hash, evicted least-recently-used once the byte
-// budget is exceeded (an entry's cost is its encoded size — the best
-// cheap proxy for the decoded footprint, and the number the disk tier
-// already knows). A single over-budget plan is still admitted alone:
+// budget is exceeded (an entry's cost is its decoded footprint, see
+// footprint). A single over-budget plan is still admitted alone:
 // the memory tier must never refuse the plan a server is actively
 // serving.
 type lru struct {
@@ -52,10 +52,8 @@ func (c *lru) get(hash string) (*core.Plan, bool) {
 // add inserts (or refreshes) a plan and evicts from the cold end until
 // the budget holds again. Entries are immutable, so re-adding an
 // existing hash only refreshes recency.
-func (c *lru) add(hash string, plan *core.Plan, cost int64) {
-	if cost < 0 {
-		cost = 0
-	}
+func (c *lru) add(hash string, plan *core.Plan) {
+	cost := footprint(plan)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[hash]; ok {
@@ -79,4 +77,25 @@ func (c *lru) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// footprint is what the memory tier charges for a plan: the bytes of
+// its decoded weight and code tensors, the bulk of a decoded plan. A
+// network the store shares between plans is charged to each of them,
+// which over-counts in the safe direction.
+func footprint(p *core.Plan) int64 {
+	var n int64
+	for _, l := range p.Net.Layers {
+		if l.Weights != nil {
+			n += 8 * int64(len(l.Weights.Data))
+		}
+	}
+	for _, c := range []*compiler.Compiled{p.Baseline, p.AIM} {
+		for _, lp := range c.Plans {
+			if lp.Quant != nil && lp.Quant.Codes != nil {
+				n += 4 * int64(len(lp.Quant.Codes.Data))
+			}
+		}
+	}
+	return n
 }

@@ -14,7 +14,9 @@
 // silently serving wrong artifacts. Decoded plans are bit-exact
 // (floats round-trip as IEEE-754 bit patterns and aliased pointers are
 // rebuilt from indices), so Execute over a loaded plan is
-// byte-identical to Execute over a freshly compiled one. Corrupt,
+// byte-identical to Execute over a freshly compiled one. Plans loaded
+// through one Store share one decoded Network per distinct network
+// (see Store). Corrupt,
 // truncated or stale entries are counted, swept and treated as cache
 // misses — the store degrades to "compile again", never to an error
 // on the serving path.
@@ -25,9 +27,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"aim/internal/core"
+	"aim/internal/model"
 )
 
 // DefaultMemoryBudget bounds the in-memory tier: roomy enough to hold
@@ -89,9 +93,19 @@ type Stats struct {
 // no compile-stampede control: that lives with the caller (the serving
 // runtime's singleflight cache), so non-server users pay nothing for
 // it.
+//
+// Plans loaded from one store may share their Network: the store keeps
+// one decoded *model.Network per distinct encoded network, and every
+// plan it decodes with that network adopts it instead of decoding the
+// weights again. A plan is read-only once built — its two stages
+// already share one Network, and the serving cache shares each plan
+// across concurrent requests — so sharing across plans is equally
+// safe. The table holds one entry per distinct network, a set the zoo
+// bounds, so it is never evicted.
 type Store struct {
 	backend Backend
 	mem     *lru
+	nets    netTable
 	stats   struct {
 		memHits, diskHits, misses atomic.Int64
 		stale, corrupt            atomic.Int64
@@ -135,7 +149,7 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	p, err := Decode(k, data)
+	p, err := decode(k, data, &s.nets)
 	if err != nil {
 		// A bad entry is a miss, not a failure — but count it by
 		// kind and sweep it so the next restart is not fooled again.
@@ -148,7 +162,7 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	s.mem.add(h, p, int64(len(data)))
+	s.mem.add(h, p)
 	s.stats.diskHits.Add(1)
 	return p, true
 }
@@ -164,7 +178,7 @@ func (s *Store) Put(k Key, p *core.Plan) error {
 		return err
 	}
 	h := k.Hash()
-	s.mem.add(h, p, int64(len(data)))
+	s.mem.add(h, p)
 	if err := s.backend.Store(h, data); err != nil {
 		s.stats.saveErrors.Add(1)
 		return nil
@@ -201,4 +215,40 @@ func (s *Store) Stats() Stats {
 		Saves:      s.stats.saves.Load(),
 		SaveErrors: s.stats.saveErrors.Load(),
 	}
+}
+
+// netTable holds one decoded network per distinct network-section byte
+// string. A nil table holds nothing and adopts nothing.
+type netTable struct {
+	mu   sync.Mutex
+	nets map[string]*model.Network
+}
+
+// lookup returns the network already decoded from section, or nil.
+func (t *netTable) lookup(section []byte) *model.Network {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.nets[string(section)]
+}
+
+// adopt records net as the network decoded from section and returns
+// the one the table holds for it: net, unless a concurrent load
+// recorded its own first.
+func (t *netTable) adopt(section []byte, net *model.Network) *model.Network {
+	if t == nil {
+		return net
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if held, ok := t.nets[string(section)]; ok {
+		return held
+	}
+	if t.nets == nil {
+		t.nets = make(map[string]*model.Network)
+	}
+	t.nets[string(section)] = net
+	return net
 }

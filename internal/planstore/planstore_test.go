@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"aim/internal/core"
@@ -53,6 +54,9 @@ func TestRoundTripExecutesByteIdentically(t *testing.T) {
 			decoded, err := Decode(k, data)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(decoded, plan) {
+				t.Fatal("decoded plan is not deeply equal to the compiled one")
 			}
 			// Structural fidelity: re-encoding the decoded plan must
 			// reproduce the bytes exactly (the encoding is canonical).
@@ -279,6 +283,113 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskHits != 1 {
 		t.Fatalf("stats = %+v, want DiskHits=1", st)
+	}
+}
+
+// TestLRUChargesDecodedFootprint: the memory budget bounds decoded
+// plans, so a budget of two plans' footprint holds two and evicts the
+// least recently used when a third arrives.
+func TestLRUChargesDecodedFootprint(t *testing.T) {
+	b, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := compileTestPlan(t, "resnet18", 1)
+	s := New(b, 2*footprint(plan))
+	keys := []Key{testKey("resnet18", 1), testKey("resnet18", 2), testKey("resnet18", 3)}
+	for _, k := range keys {
+		if err := s.Put(k, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.mem.len(); n != 2 {
+		t.Fatalf("memory tier holds %d plans under a two-plan budget, want 2", n)
+	}
+	// The two newest answer from memory before the oldest reloads.
+	for _, k := range []Key{keys[2], keys[1], keys[0]} {
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("%s not served", k.ID())
+		}
+	}
+	if st := s.Stats(); st.DiskHits != 1 || st.MemHits != 2 {
+		t.Fatalf("stats = %+v, want the oldest plan from disk (DiskHits=1 MemHits=2)", st)
+	}
+}
+
+// TestStoreSharesNetwork: two keys of one network loaded from one store
+// share a single decoded Network, and each still executes
+// byte-identically to its fresh compile — also when loaded and
+// executed concurrently (run under -race).
+func TestStoreSharesNetwork(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []Key{testKey("resnet18", 1), testKey("resnet18", 2)}
+	want := make([]reportValues, len(keys))
+	execute := func(k Key, p *core.Plan) reportValues {
+		pipe := core.NewPipeline(vf.LowPower)
+		pipe.Seed = k.Seed
+		return stripPointers(pipe.Execute(p))
+	}
+	for i, k := range keys {
+		plan := compileTestPlan(t, k.Network, k.Seed)
+		want[i] = execute(k, plan)
+		if err := s.Put(k, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded []*core.Plan
+	for i, k := range keys {
+		p, ok := s2.Get(k)
+		if !ok {
+			t.Fatalf("%s missed", k.ID())
+		}
+		if got := execute(k, p); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s executed differently after a shared load", k.ID())
+		}
+		loaded = append(loaded, p)
+	}
+	if loaded[0].Net != loaded[1].Net {
+		t.Fatal("plans of one network loaded from one store do not share their Network")
+	}
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	got := make([]reportValues, goroutines)
+	nets := make([]*model.Network, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			k := keys[g%len(keys)]
+			p, ok := s3.Get(k)
+			if !ok {
+				t.Errorf("%s missed", k.ID())
+				return
+			}
+			nets[g] = p.Net
+			got[g] = execute(k, p)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if nets[g] != nets[0] {
+			t.Fatal("concurrent loads of one network decoded separate copies")
+		}
+		if !reflect.DeepEqual(got[g], want[g%len(keys)]) {
+			t.Fatalf("goroutine %d executed differently", g)
+		}
 	}
 }
 
