@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke bench bench-rtog bench-pdn bench-serve bench-spatial bench-planstore bench-http check docs-check aimlint lint ci
+.PHONY: all build vet fmt-check test race fuzz-smoke bench bench-rtog bench-pdn bench-serve bench-spatial bench-planstore bench-http check docs-check aimlint e2ebench-check lint ci
 
 all: build
 
@@ -197,6 +197,14 @@ docs-check:
 aimlint:
 	@./scripts/lint_smoke.sh
 
+# Benchmark-module gate: e2ebench is a nested module (it has its own
+# go.mod), so `go build ./...` and `go vet ./...` at the root never see
+# it. Vetting and testing it here keeps an internal API change from
+# breaking the end-to-end benchmark while every other step stays green.
+e2ebench-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
+
 lint: vet fmt-check docs-check aimlint
 
-ci: build lint race bench check
+ci: build lint e2ebench-check race bench check

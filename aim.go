@@ -3,12 +3,12 @@ package aim
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"aim/internal/core"
 	"aim/internal/experiments"
 	"aim/internal/model"
+	"aim/internal/serve"
 	"aim/internal/sim"
 	"aim/internal/vf"
 )
@@ -92,10 +92,11 @@ type Config struct {
 	// Seed drives every stochastic component (default 1).
 	Seed int64
 	// Parallel bounds the simulator's wave-sharding worker pool:
-	// 0 uses one worker per CPU, 1 forces the serial reference path,
-	// N > 1 uses N workers. Results are bit-identical for any value —
-	// the knob only trades wall-clock time for cores. Negative values
-	// are rejected.
+	// 0 uses one worker per CPU (a Server treats 0 as serial: it gets
+	// its parallelism from concurrent requests), 1 forces the serial
+	// reference path, N > 1 uses N workers. Results are bit-identical
+	// for any value — the knob only trades wall-clock time for cores.
+	// Negative values are rejected.
 	Parallel int
 	// Fidelity selects the simulator's modelling tier (default
 	// FidelityAnalytic). Unknown values are rejected with an error,
@@ -155,58 +156,25 @@ type Result struct {
 // Run compiles the workload through the full AIM pipeline (LHR + WDS +
 // HR-aware mapping), executes it on the simulated 7nm 256-TOPS chip
 // with IR-Booster, and compares against the worst-case DVFS baseline.
+// It validates cfg and builds its pipeline through the same path a
+// Server takes for a submitted request, so both reject the same
+// configs and answer the same Result.
 func Run(cfg Config) (Result, error) {
-	mode, err := cfg.Mode.internal()
+	req, err := request(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	// Validate the compile knobs up front: invalid input must surface
-	// as an error (via quant.IsPow2 inside ResolveWDSDelta), never as
-	// a panic out of the compiler — a serving daemon cannot tolerate
-	// the latter.
-	delta, err := core.ResolveWDSDelta(cfg.WDSDelta)
-	if err != nil {
-		return Result{}, fmt.Errorf("aim: %w", err)
-	}
-	if cfg.Bits != 0 && (cfg.Bits < 2 || cfg.Bits > 16) {
-		return Result{}, fmt.Errorf("aim: bits %d out of range [2,16]", cfg.Bits)
-	}
-	// Runtime knobs get the same treatment: a bogus fidelity or a
-	// negative worker count is an error, not a silent fallback.
-	fidelity, err := cfg.Fidelity.internal()
+	p, err := serve.Pipeline(req)
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Parallel < 0 {
-		return Result{}, fmt.Errorf("aim: negative parallel %d (0 = one worker per CPU, 1 = serial)", cfg.Parallel)
-	}
-	if cfg.SpatialWindow < 0 {
-		return Result{}, fmt.Errorf("aim: negative spatial window %d (0 = default)", cfg.SpatialWindow)
-	}
-	if cfg.SpatialSkipMV < 0 || math.IsNaN(cfg.SpatialSkipMV) || math.IsInf(cfg.SpatialSkipMV, 0) {
-		return Result{}, fmt.Errorf("aim: spatial skip threshold %v mV (want a finite value >= 0)", cfg.SpatialSkipMV)
-	}
-	net, err := model.ByName(cfg.Network, 2025)
-	if err != nil {
-		return Result{}, err
-	}
-	p := core.NewPipeline(mode)
-	p.Seed = seed
+	// The one documented difference from a served request: Run's 0
+	// means one worker per CPU, where a Server runs each request
+	// serially. Results are bit-identical either way.
 	p.Parallel = cfg.Parallel
-	p.Fidelity = fidelity
-	p.SpatialWindow = cfg.SpatialWindow
-	p.SpatialSkipMV = cfg.SpatialSkipMV
-	p.SpatialAdaptive = cfg.SpatialAdaptive
-	p.WDSDelta = delta
-	if cfg.Beta > 0 {
-		p.Beta = cfg.Beta
-	}
-	if cfg.Bits > 0 {
-		p.Bits = cfg.Bits
+	net, err := model.ByName(cfg.Network, serve.ZooSeed)
+	if err != nil {
+		return Result{}, err
 	}
 	return resultFrom(p.Run(net), cfg.Mode), nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aim/internal/core"
+	"aim/internal/irdrop"
 	"aim/internal/model"
 	"aim/internal/vf"
 	"aim/internal/xrand"
@@ -212,6 +213,23 @@ func TestRunRejectsInvalidDelta(t *testing.T) {
 	}
 }
 
+// invalidConfigs are rejected identically by Run and by a Server: both
+// go through one normalize and one sim.Runtime.Validate.
+var invalidConfigs = []struct {
+	name string
+	cfg  Config
+	want string // error substring
+}{
+	{"spatial window -1", Config{Network: "resnet18", SpatialWindow: -1}, "negative spatial window"},
+	{"spatial skip -1", Config{Network: "resnet18", SpatialSkipMV: -1}, "spatial skip threshold"},
+	{"spatial skip NaN", Config{Network: "resnet18", SpatialSkipMV: math.NaN()}, "spatial skip threshold"},
+	{"spatial skip +Inf", Config{Network: "resnet18", SpatialSkipMV: math.Inf(1)}, "spatial skip threshold"},
+	{"bits 40", Config{Network: "resnet18", Bits: 40}, "out of range"},
+	{"delta 12", Config{Network: "resnet18", WDSDelta: 12}, "power of two"},
+	{"parallel -1", Config{Network: "resnet18", Parallel: -1}, "negative parallel"},
+	{"bogus fidelity", Config{Network: "resnet18", Fidelity: "bogus"}, "unknown fidelity"},
+}
+
 func TestRunRejectsInvalidRuntimeKnobs(t *testing.T) {
 	// Fidelity and Parallel validate like the compile knobs: errors,
 	// not silent fallbacks.
@@ -221,19 +239,23 @@ func TestRunRejectsInvalidRuntimeKnobs(t *testing.T) {
 	if _, err := Run(Config{Network: "resnet18", Parallel: -1}); err == nil || !strings.Contains(err.Error(), "negative parallel") {
 		t.Errorf("Parallel -1: err = %v, want negative-parallel error", err)
 	}
+	for _, c := range invalidConfigs {
+		if _, err := Run(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run %s: err = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
 }
 
 func TestServerRejectsInvalidRuntimeKnobs(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{Workers: 1})
 	defer srv.Close()
-	if _, err := srv.Submit(context.Background(), Config{Network: "resnet18", Fidelity: "bogus"}); err == nil {
-		t.Error("Submit with bogus fidelity must error")
-	}
-	if _, err := srv.Submit(context.Background(), Config{Network: "resnet18", Parallel: -1}); err == nil {
-		t.Error("Submit with negative parallel must error")
-	}
-	if _, err := srv.ServeList(context.Background(), []Config{{Network: "resnet18", Fidelity: "x"}}); err == nil {
-		t.Error("ServeList with bogus fidelity must error")
+	for _, c := range invalidConfigs {
+		if _, err := srv.Submit(context.Background(), c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Submit %s: err = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if _, err := srv.ServeList(context.Background(), []Config{c.cfg}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ServeList %s: err = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -281,31 +303,45 @@ func TestDisableWDSMatchesLHRStage(t *testing.T) {
 	}
 }
 
+// TestServerMatchesRun: a served request answers exactly what a cold
+// Run of the same Config returns — at every fidelity tier and with the
+// spatial tier's incremental knobs set — because both build their
+// pipeline through one serve.Pipeline.
 func TestServerMatchesRun(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{Workers: 2})
 	defer srv.Close()
-	cfg := Config{Network: "resnet18", Mode: LowPower}
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []Config{
+		{Network: "resnet18", Mode: LowPower},
+		{Network: "mobilenetv2", Fidelity: FidelityPacked},
+		{Network: "mobilenetv2", Fidelity: FidelitySpatial},
+		{Network: "mobilenetv2", Fidelity: FidelitySpatial, SpatialWindow: 2,
+			SpatialSkipMV: irdrop.DefaultSpatialSkipMV, SpatialAdaptive: true},
 	}
-	got, err := srv.Submit(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range cfgs {
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Submit(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%+v: served result diverges from cold Run:\n  served=%+v\n  cold=%+v", cfg, got, want)
+		}
+		// Repeats answer from the plan cache with the identical Result.
+		again, err := srv.Submit(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != want {
+			t.Errorf("%+v: cached request diverges from cold Run", cfg)
+		}
 	}
-	if got != want {
-		t.Errorf("served result diverges from cold Run:\n  served=%+v\n  cold=%+v", got, want)
-	}
-	// Repeats answer from the plan cache with the identical Result.
-	again, err := srv.Submit(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != want {
-		t.Error("cached request diverges from cold Run")
-	}
-	if st := srv.Stats(); st.Compiles != 1 || st.Requests != 2 {
-		t.Errorf("stats = %+v, want 1 compile over 2 requests", st)
+	// Fidelity and the spatial knobs stay out of the plan key: one
+	// compile per network.
+	if st := srv.Stats(); st.Compiles != 2 || st.Requests != int64(2*len(cfgs)) {
+		t.Errorf("stats = %+v, want 2 compiles over %d requests", st, 2*len(cfgs))
 	}
 	if srv.Metrics().P50 <= 0 {
 		t.Error("latency percentiles missing")

@@ -147,9 +147,9 @@ func runAgainstTarget(target string, reqs []serve.Request, offsets []time.Durati
 		t.ok, t.shed, t.failed, elapsed.Round(time.Millisecond))
 	if t.ok > 0 {
 		fmt.Fprintf(stdout, "  latency:   p50 %v  p95 %v  p99 %v (client-side)\n",
-			percentileDur(t.latencies, 0.50).Round(time.Millisecond),
-			percentileDur(t.latencies, 0.95).Round(time.Millisecond),
-			percentileDur(t.latencies, 0.99).Round(time.Millisecond))
+			serve.Percentile(t.latencies, 0.50).Round(time.Millisecond),
+			serve.Percentile(t.latencies, 0.95).Round(time.Millisecond),
+			serve.Percentile(t.latencies, 0.99).Round(time.Millisecond))
 		fmt.Fprintf(stdout, "  tiers:     %d analytic / %d packed / %d spatial\n",
 			t.tiers["analytic"], t.tiers["packed"], t.tiers["spatial"])
 	}

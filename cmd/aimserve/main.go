@@ -159,22 +159,6 @@ func arrivalOffsets(kind string, n int, rate, factor float64, period time.Durati
 	return out, nil
 }
 
-// percentileDur is the same nearest-rank percentile the server uses,
-// over client-side samples.
-func percentileDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // run is the load-generator entry point.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aimserve", flag.ContinueOnError)

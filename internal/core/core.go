@@ -86,29 +86,18 @@ func ResolveWDSDelta(d int) (int, error) {
 type Pipeline struct {
 	Chip pim.Config
 	Mode vf.Mode
-	Beta int
 	// Bits is the quantization width (default 8).
 	Bits int
 	// WDSDelta is the δ used by the WDS stage (default 16 to match the
 	// paper's ablation configuration; 0 disables WDS).
 	WDSDelta int
 	Seed     int64
-	// Parallel bounds the simulator's wave-sharding pool (0 = one
-	// worker per CPU, 1 = serial); results are identical either way.
-	Parallel int
-	// Fidelity selects the simulator's modelling tier (default
-	// sim.AnalyticToggles — the byte-stable historical behaviour).
-	// Like Beta and Parallel it is a runtime knob: it never touches
-	// the compiled artifact, so one Plan serves every tier.
-	Fidelity sim.Fidelity
-	// SpatialWindow, SpatialSkipMV and SpatialAdaptive are the
-	// SpatialPDN tier's cadence and incremental-solve knobs, passed
-	// through to sim.Options verbatim. All are runtime knobs (never in
-	// the plan) and all default to the byte-stable reference: solve
-	// every DefaultSpatialWindow cycles, skip nothing, fixed cadence.
-	SpatialWindow   int
-	SpatialSkipMV   float64
-	SpatialAdaptive bool
+	// Runtime carries the Execute-side knobs (β, worker count,
+	// fidelity tier, spatial cadence) to sim.Options unchanged. None of
+	// them touches the compiled artifact, so one Plan serves every
+	// setting; the zero values beside β 50 are the byte-stable
+	// reference.
+	sim.Runtime
 	// Warm, when non-nil, lets the simulator reuse its per-worker
 	// scratch across Execute calls — the serving runtime's warm
 	// simulator state. Results are bit-identical with or without it.
@@ -118,7 +107,7 @@ type Pipeline struct {
 // NewPipeline returns the reference deployment: the 7nm 256-TOPS chip,
 // β=50, δ=16.
 func NewPipeline(mode vf.Mode) *Pipeline {
-	return &Pipeline{Chip: pim.DefaultConfig(), Mode: mode, Beta: 50, Bits: 8, WDSDelta: DefaultWDSDelta, Seed: 1}
+	return &Pipeline{Chip: pim.DefaultConfig(), Mode: mode, Runtime: sim.Runtime{Beta: 50}, Bits: 8, WDSDelta: DefaultWDSDelta, Seed: 1}
 }
 
 // CompilerOptions derives the offline configuration for a stage.
@@ -147,14 +136,9 @@ func (p *Pipeline) CompilerOptions(s Stage) compiler.Options {
 // SimOptions derives the runtime configuration for a stage.
 func (p *Pipeline) SimOptions(s Stage, transformer bool) sim.Options {
 	opt := sim.DefaultOptions(transformer, p.Mode)
-	opt.Beta = p.Beta
+	opt.Runtime = p.Runtime
 	opt.Seed = p.Seed
-	opt.Parallel = p.Parallel
 	opt.Warm = p.Warm
-	opt.Fidelity = p.Fidelity
-	opt.SpatialWindow = p.SpatialWindow
-	opt.SpatialSkipMV = p.SpatialSkipMV
-	opt.SpatialAdaptive = p.SpatialAdaptive
 	switch s {
 	case StageBaseline:
 		opt.UseBooster = false

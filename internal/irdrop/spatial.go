@@ -244,13 +244,7 @@ func (s *Spatial) EstimateGroups(act, drop []float64) {
 	if s.SkipThreshold > 0 {
 		tol = spatialIncrTolV
 	}
-	// holdTol stays 0: the Jacobi residual gate is a pointwise measure,
-	// and the smooth field error a uniform sub-threshold drift leaves
-	// behind produces near-zero local residuals — a residual hold here
-	// would re-anchor the skip gate without re-solving and let drop
-	// error accumulate without bound. The injection gate above is the
-	// sound one.
-	v, cycles, converged := s.mg.SolveFieldDelta(s.cur, tol, s.solveMaxIter, 0)
+	v, cycles, converged := s.mg.SolveFieldDelta(s.cur, tol, s.solveMaxIter)
 	s.stats.Solves++
 	s.stats.VCycles += int64(cycles)
 	if !converged {

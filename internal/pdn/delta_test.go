@@ -2,8 +2,8 @@ package pdn
 
 import "testing"
 
-// TestSolveFieldDeltaMatchesSolveField: with the residual gate disabled
-// (holdTol 0) the incremental path must be SolveField bit for bit —
+// TestSolveFieldDeltaMatchesSolveField: the incremental path must be
+// SolveField bit for bit —
 // same fields, same cycle counts — across a warm solve sequence on
 // every geometry. This is the identity that lets SolveField delegate to
 // SolveFieldDelta without touching any pinned output.
@@ -16,7 +16,7 @@ func TestSolveFieldDeltaMatchesSolveField(t *testing.T) {
 		for step := 0; step < 4; step++ {
 			cur := randomCurrent(tc.w*tc.h, int64(11+step), 0.01)
 			va, ia := ma.SolveField(cur, 1e-6, 200)
-			vb, ib, conv := mb.SolveFieldDelta(cur, 1e-6, 200, 0)
+			vb, ib, conv := mb.SolveFieldDelta(cur, 1e-6, 200)
 			if ia != ib {
 				t.Fatalf("%s step %d: %d cycles vs SolveField's %d", tc.name, step, ib, ia)
 			}
@@ -32,70 +32,6 @@ func TestSolveFieldDeltaMatchesSolveField(t *testing.T) {
 	}
 }
 
-// TestSolveFieldDeltaHoldGate: a warm field that already satisfies the
-// new system to within holdTol is returned unchanged with zero cycles;
-// an injection change big enough to matter forces a real solve.
-func TestSolveFieldDeltaHoldGate(t *testing.T) {
-	g := NewGrid(64, 64, 0.75, 18, 45, 8)
-	m := NewMultigrid(g)
-	cur := randomCurrent(64*64, 3, 0.01)
-	ref, _, conv := m.SolveFieldDelta(cur, 1e-6, 200, 1e-4)
-	if !conv {
-		t.Fatal("reference solve saturated")
-	}
-	held := make([]float64, len(ref))
-	copy(held, ref)
-
-	// Same injection again: the warm field is exact, the gate must hold.
-	v, cycles, conv := m.SolveFieldDelta(cur, 1e-6, 200, 1e-4)
-	if cycles != 0 || !conv {
-		t.Fatalf("unchanged injection: %d cycles, converged %v; want 0, true", cycles, conv)
-	}
-	for i := range held {
-		if v[i] != held[i] {
-			t.Fatalf("held field mutated at cell %d: %v != %v", i, v[i], held[i])
-		}
-	}
-
-	// A substantial injection step must blow through the gate.
-	for i := range cur {
-		cur[i] += 0.02
-	}
-	v, cycles, conv = m.SolveFieldDelta(cur, 1e-6, 200, 1e-4)
-	if cycles == 0 {
-		t.Fatal("large injection change was held")
-	}
-	if !conv {
-		t.Fatalf("perturbed solve saturated after %d cycles", cycles)
-	}
-	moved := false
-	for i := range held {
-		if v[i] != held[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("solve after perturbation left the field untouched")
-	}
-}
-
-// TestSolveFieldDeltaColdIgnoresHold: without a warm field there is
-// nothing to hold — the first solve of a session must run even with the
-// gate armed.
-func TestSolveFieldDeltaColdIgnoresHold(t *testing.T) {
-	g := NewGrid(32, 32, 0.75, 10, 50, 4)
-	m := NewMultigrid(g)
-	cur := randomCurrent(32*32, 5, 0.01)
-	_, cycles, conv := m.SolveFieldDelta(cur, 1e-6, 200, 1e3)
-	if cycles == 0 {
-		t.Fatal("cold start held a nonexistent field")
-	}
-	if !conv {
-		t.Fatalf("cold solve saturated after %d cycles", cycles)
-	}
-}
-
 // TestSolveFieldDeltaReportsSaturation: an exhausted iteration budget
 // surfaces as converged == false — the signal SolveStats.Saturated
 // counts; SolveField's bare cycle count cannot express it.
@@ -103,7 +39,7 @@ func TestSolveFieldDeltaReportsSaturation(t *testing.T) {
 	g := NewGrid(64, 64, 0.75, 18, 45, 8)
 	m := NewMultigrid(g)
 	cur := randomCurrent(64*64, 9, 0.01)
-	_, cycles, conv := m.SolveFieldDelta(cur, 1e-15, 1, 0)
+	_, cycles, conv := m.SolveFieldDelta(cur, 1e-15, 1)
 	if conv {
 		t.Fatal("one V-cycle at tol 1e-15 claimed convergence")
 	}

@@ -206,44 +206,31 @@ func (m *Multigrid) Solve(current []float64, tol float64, maxIter int) ([]float6
 // field copy per simulated cycle would dominate their allocation
 // profile. Callers that retain the field must use Solve.
 func (m *Multigrid) SolveField(current []float64, tol float64, maxIter int) ([]float64, int) {
-	v, iter, _ := m.SolveFieldDelta(current, tol, maxIter, 0)
+	v, iter, _ := m.SolveFieldDelta(current, tol, maxIter)
 	return v, iter
 }
 
-// SolveFieldDelta is the incremental solve path: SolveField with a
-// residual gate in front and an explicit convergence verdict behind.
-// It assembles the right-hand side for the new current map, and when a
-// warm field exists and holdTol > 0 it first measures how far that
-// field sits from solving the new system — the largest single-cell
-// Jacobi update the new injection would apply, an O(n) stencil pass
-// against the ~8n point-updates of one V-cycle. Below holdTol the
-// previous field already satisfies the new system to within tolerance,
-// so it is returned unchanged with cycles 0. Otherwise V-cycles run
-// exactly as in SolveField; the warm start means they work off only
-// the residual the injection change induced.
+// SolveFieldDelta is SolveField with an explicit convergence verdict:
+// it assembles the right-hand side for the new current map and runs
+// V-cycles exactly as SolveField does — warm-started, so they work off
+// only the residual the injection change induced. converged reports
+// whether the final cycle moved no cell by more than tol; false means
+// the iteration budget saturated without meeting tolerance
+// (SolveField's bare count cannot tell a last-cycle convergence from
+// saturation).
 //
-// converged reports whether the final cycle moved no cell by more than
-// tol; false means the iteration budget saturated without meeting
-// tolerance (SolveField's bare count cannot tell a last-cycle
-// convergence from saturation). holdTol = 0 disables the gate, making
-// SolveFieldDelta bit-identical to SolveField by construction.
-//
-// Caveat: the gate is a pointwise residual measure. Smooth field error
-// — the kind a small uniform shift of the whole injection map leaves in
-// a warm field — produces near-zero local Jacobi updates, so the gate
-// will hold a field whose global error is far larger than holdTol.
-// Callers holding fields across genuinely changing injections must gate
-// on their own injection-change metric (as irdrop.Spatial does) and use
-// holdTol only to absorb exact-repeat or rough, localized perturbations.
-func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int, holdTol float64) (v []float64, cycles int, converged bool) {
+// It never holds a warm field without solving: a pointwise residual
+// test is blind to the smooth field error a small uniform shift of the
+// injection map leaves behind, so callers that skip solves gate on
+// their own injection-change metric (as irdrop.Spatial does).
+func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int) (v []float64, cycles int, converged bool) {
 	g := m.g
 	n := g.W * g.H
 	if len(current) != n {
 		panic(fmt.Sprintf("pdn: current map size %d != %d", len(current), n))
 	}
 	m.levels[0].rhs(g.Vdd, current, m.rhs[0])
-	warm := m.v != nil && m.WarmStart && !m.cold
-	if !warm {
+	if m.v == nil || !m.WarmStart || m.cold {
 		if m.v == nil {
 			m.v = make([]float64, n)
 		}
@@ -251,9 +238,6 @@ func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int,
 			m.v[i] = g.Vdd
 		}
 		m.cold = false
-	}
-	if warm && holdTol > 0 && m.levels[0].jacobiDelta(m.v, m.rhs[0]) < holdTol {
-		return m.v, 0, true
 	}
 	iter := 0
 	for ; iter < maxIter; iter++ {

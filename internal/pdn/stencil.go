@@ -394,61 +394,3 @@ func (s *stencil) prolongAdd(e []float64, v []float64) float64 {
 	}
 	return maxCorr
 }
-
-// jacobiDelta measures how far v sits from solving A·v = rhs: the
-// largest single-cell Jacobi update the system would apply,
-// max_i |(rhs[i] + gmesh·Σ v_nbr)/sumG[i] − v[i]|. It writes nothing —
-// one branch-light O(n) pass the incremental solve path uses to decide
-// whether a warm field already answers a new injection map to within
-// tolerance, an order of magnitude cheaper than the V-cycle it gates.
-func (s *stencil) jacobiDelta(v, rhs []float64) float64 {
-	w, h := s.w, s.h
-	gm := s.gmesh
-	maxDelta := 0.0
-	note := func(i int, sum float64) {
-		if s.inv[i] == 0 {
-			return
-		}
-		d := (rhs[i]+gm*sum)*s.inv[i] - v[i]
-		if d > maxDelta {
-			maxDelta = d
-		} else if -d > maxDelta {
-			maxDelta = -d
-		}
-	}
-	for y := 0; y < h; y++ {
-		row := y * w
-		if y == 0 || y == h-1 {
-			for x := 0; x < w; x++ {
-				i := row + x
-				sum := 0.0
-				if x > 0 {
-					sum += v[i-1]
-				}
-				if x < w-1 {
-					sum += v[i+1]
-				}
-				if y > 0 {
-					sum += v[i-w]
-				}
-				if y < h-1 {
-					sum += v[i+w]
-				}
-				note(i, sum)
-			}
-			continue
-		}
-		if w == 1 {
-			note(row, v[row-w]+v[row+w])
-			continue
-		}
-		note(row, v[row+1]+v[row-w]+v[row+w])
-		for x := 1; x < w-1; x++ {
-			i := row + x
-			note(i, v[i-1]+v[i+1]+v[i-w]+v[i+w])
-		}
-		i := row + w - 1
-		note(i, v[i-1]+v[i-w]+v[i+w])
-	}
-	return maxDelta
-}

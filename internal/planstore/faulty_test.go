@@ -94,10 +94,15 @@ func TestFaultyStatsReconcile(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for _, seed := range seeds {
 			k := testKey("resnet18", seed)
-			p, _, err := s.GetOrCompile(k, func() (*core.Plan, error) { return plans[seed], nil })
+			p, ok := s.Get(k)
 			gets++
-			if err != nil {
-				t.Fatalf("round %d seed %d: request observed an error: %v", round, seed, err)
+			if !ok {
+				// A miss recompiles and writes the plan back, as the
+				// server's plan cache does.
+				p = plans[seed]
+				if err := s.Put(k, p); err != nil {
+					t.Fatalf("round %d seed %d: request observed an error: %v", round, seed, err)
+				}
 			}
 			got, err := Encode(k, p)
 			if err != nil {

@@ -187,23 +187,6 @@ func (s *Store) Put(k Key, p *core.Plan) error {
 	return nil
 }
 
-// GetOrCompile returns the stored plan or compiles, stores and returns
-// a fresh one — the one-shot (non-server) entry point. hit reports
-// whether any tier answered.
-func (s *Store) GetOrCompile(k Key, compile func() (*core.Plan, error)) (plan *core.Plan, hit bool, err error) {
-	if p, ok := s.Get(k); ok {
-		return p, true, nil
-	}
-	p, err := compile()
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.Put(k, p); err != nil {
-		return nil, false, err
-	}
-	return p, false, nil
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	return Stats{

@@ -183,13 +183,15 @@ func TestStoreCorruptEntryFallsBack(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry was not swept")
 	}
-	// GetOrCompile recovers transparently and repopulates.
-	p, hit, err := s2.GetOrCompile(k, func() (*core.Plan, error) { return plan, nil })
-	if err != nil || hit || p == nil {
-		t.Fatalf("GetOrCompile after corruption: plan=%v hit=%v err=%v", p != nil, hit, err)
+	// The miss recovers by recompiling and writing the plan back.
+	if err := s2.Put(k, plan); err != nil {
+		t.Fatalf("Put after corruption: %v", err)
 	}
 	if _, ok := s2.Get(k); !ok {
 		t.Fatal("store was not repopulated after recompile")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("recompiled entry was not written back: %v", err)
 	}
 }
 

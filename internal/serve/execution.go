@@ -25,7 +25,7 @@ func (s *Server) executor() {
 			if err != nil {
 				return nil, err
 			}
-			return s.pipelineFor(b.reqs[0].req).Compile(net), nil
+			return pipelineFor(b.reqs[0].req).Compile(net), nil
 		})
 		for _, p := range b.reqs {
 			if err != nil {
@@ -38,7 +38,9 @@ func (s *Server) executor() {
 				// bytes for this request are load-independent.
 				r.Fidelity = s.ladder.tier()
 			}
-			rep := s.pipelineFor(r).Execute(plan)
+			pl := pipelineFor(r)
+			pl.Warm = s.warm
+			rep := pl.Execute(plan)
 			s.served[r.Fidelity].Add(1)
 			s.noteSolveStats(rep)
 			p.reply <- answer{resp: Response{Report: rep, Tier: r.Fidelity, PlanCached: hit}}

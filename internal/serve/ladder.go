@@ -109,7 +109,7 @@ func (l *ladder) observe(lat time.Duration) {
 	}
 	sorted := append([]time.Duration(nil), l.window...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	p95 := percentile(sorted, 0.95)
+	p95 := Percentile(sorted, 0.95)
 	switch {
 	case p95 > l.target && l.cur > sim.AnalyticToggles:
 		l.cur--

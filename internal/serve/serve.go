@@ -128,18 +128,8 @@ func (r Request) normalize() (Request, Key, error) {
 	if r.Parallel == 0 {
 		r.Parallel = 1
 	}
-	if r.Parallel < 0 {
-		return r, Key{}, fmt.Errorf("serve: negative parallel %d", r.Parallel)
-	}
-	if !r.Fidelity.Valid() {
-		return r, Key{}, fmt.Errorf("serve: unknown fidelity %d (want %v, %v or %v)",
-			int(r.Fidelity), sim.AnalyticToggles, sim.PackedToggles, sim.SpatialPDN)
-	}
-	if r.SpatialWindow < 0 {
-		return r, Key{}, fmt.Errorf("serve: negative spatial window %d (0 = default)", r.SpatialWindow)
-	}
-	if r.SpatialSkipMV < 0 || math.IsNaN(r.SpatialSkipMV) || math.IsInf(r.SpatialSkipMV, 0) {
-		return r, Key{}, fmt.Errorf("serve: spatial skip threshold %v mV (want a finite value >= 0)", r.SpatialSkipMV)
+	if err := r.runtime().Validate(); err != nil {
+		return r, Key{}, fmt.Errorf("serve: %w", err)
 	}
 	d, err := core.ResolveWDSDelta(r.Delta)
 	if err != nil {
@@ -148,6 +138,44 @@ func (r Request) normalize() (Request, Key, error) {
 	r.Delta = d
 	key := Key{Network: r.Network, Mode: r.Mode.String(), Bits: r.Bits, Delta: d, Seed: r.Seed}
 	return r, key, nil
+}
+
+// runtime gathers the request's Execute-side knobs. Request keeps them
+// as flat fields so callers can set them in composite literals.
+func (r Request) runtime() sim.Runtime {
+	return sim.Runtime{
+		Beta:            r.Beta,
+		Parallel:        r.Parallel,
+		Fidelity:        r.Fidelity,
+		SpatialWindow:   r.SpatialWindow,
+		SpatialSkipMV:   r.SpatialSkipMV,
+		SpatialAdaptive: r.SpatialAdaptive,
+	}
+}
+
+// Pipeline normalizes r — defaults, validation, δ resolution, exactly
+// as admission does — and builds the core pipeline a server executes
+// it with (without the server's warm simulator state). It is the one
+// request-to-pipeline path: a one-shot run built from it answers what
+// a served request answers.
+func Pipeline(r Request) (*core.Pipeline, error) {
+	nr, _, err := r.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return pipelineFor(nr), nil
+}
+
+// pipelineFor configures a core pipeline from a normalized request.
+// Compile-relevant fields mirror the plan key; runtime knobs ride
+// along per request.
+func pipelineFor(r Request) *core.Pipeline {
+	p := core.NewPipeline(r.Mode)
+	p.Seed = r.Seed
+	p.Bits = r.Bits
+	p.WDSDelta = r.Delta
+	p.Runtime = r.runtime()
+	return p
 }
 
 // Response answers one request.
@@ -376,24 +404,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// pipelineFor configures a core pipeline from a normalized request.
-// Compile-relevant fields mirror the plan key; runtime knobs ride
-// along per request.
-func (s *Server) pipelineFor(r Request) *core.Pipeline {
-	p := core.NewPipeline(r.Mode)
-	p.Seed = r.Seed
-	p.Beta = r.Beta
-	p.Bits = r.Bits
-	p.WDSDelta = r.Delta
-	p.Parallel = r.Parallel
-	p.Fidelity = r.Fidelity
-	p.SpatialWindow = r.SpatialWindow
-	p.SpatialSkipMV = r.SpatialSkipMV
-	p.SpatialAdaptive = r.SpatialAdaptive
-	p.Warm = s.warm
-	return p
-}
-
 // Stats are the server's cumulative counters.
 type Stats struct {
 	// Requests counts answered requests.
@@ -489,9 +499,9 @@ func (s *Server) Metrics() Metrics {
 	}
 	if len(lat) > 0 {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		m.P50 = percentile(lat, 0.50)
-		m.P95 = percentile(lat, 0.95)
-		m.P99 = percentile(lat, 0.99)
+		m.P50 = Percentile(lat, 0.50)
+		m.P95 = Percentile(lat, 0.95)
+		m.P99 = Percentile(lat, 0.99)
 	}
 	if refused := st.Shed + st.RateLimited; refused > 0 {
 		m.ShedRate = float64(refused) / float64(st.Requests+refused)
@@ -502,9 +512,16 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	idx := int(q*float64(len(sorted))+0.5) - 1
+// Percentile returns the nearest-rank q-quantile of sorted latencies:
+// the ⌈q·n⌉-th smallest of n samples, so p99 of 60 samples is their
+// maximum. It is the one percentile the server's metrics, its
+// degradation ladder and the load generator's client-side latencies
+// all use. An empty slice yields 0.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}

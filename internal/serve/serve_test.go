@@ -177,12 +177,10 @@ func TestSubmitMatchesColdRun(t *testing.T) {
 	}
 	// The cold one-shot path: the same pipeline configuration without
 	// the server in between.
-	nr, _, err := req.normalize()
+	cold, err := Pipeline(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := s.pipelineFor(nr)
-	cold.Warm = nil
 	net, err := coldNet(req.Network)
 	if err != nil {
 		t.Fatal(err)
@@ -321,6 +319,46 @@ func TestMetricsAndBatching(t *testing.T) {
 	}
 	if m.ReqPerSec <= 0 {
 		t.Errorf("req/s = %v", m.ReqPerSec)
+	}
+}
+
+// TestPercentileNearestRank: the q-quantile of n samples is the
+// ⌈q·n⌉-th smallest (0-based index ⌈q·n⌉−1). The (11, .95), (31, .95)
+// and (60, .99) rows are where rounding q·n to nearest picks one rank
+// too low; 31 samples is a size the ladder's 24–64 window reaches.
+func TestPercentileNearestRank(t *testing.T) {
+	cases := []struct {
+		n    int
+		q    float64
+		want int // 0-based index: ⌈q·n⌉−1
+	}{
+		{1, 0.50, 0},
+		{1, 0.99, 0},
+		{2, 0.50, 0},
+		{4, 0.50, 1},
+		{10, 0.95, 9},
+		{11, 0.50, 5},
+		{11, 0.95, 10},
+		{20, 0.95, 18},
+		{24, 0.95, 22},
+		{31, 0.95, 29},
+		{60, 0.99, 59},
+		{64, 0.95, 60},
+		{100, 0.50, 49},
+		{100, 0.99, 98},
+		{4096, 0.99, 4055},
+	}
+	for _, c := range cases {
+		sorted := make([]time.Duration, c.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i)
+		}
+		if got := Percentile(sorted, c.q); got != time.Duration(c.want) {
+			t.Errorf("Percentile(n=%d, q=%v) = sample %d, want %d", c.n, c.q, got, c.want)
+		}
+	}
+	if got := Percentile(nil, 0.95); got != 0 {
+		t.Errorf("Percentile(empty) = %v, want 0", got)
 	}
 }
 

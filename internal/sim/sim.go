@@ -9,35 +9,26 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+	"math"
+
 	"aim/internal/compiler"
 	"aim/internal/irdrop"
 	"aim/internal/pim"
 	"aim/internal/runner"
 	"aim/internal/vf"
-	"context"
 )
 
-// Options configures a run.
-type Options struct {
-	// Beta is Algorithm 2's β (cycles); the paper's reference point is 50.
+// Runtime holds the Execute-side knobs: the ones that never reach the
+// compiler, so one compiled plan serves every setting of them. Options
+// and core.Pipeline embed it rather than copying its fields, a serving
+// request converts to it, and Validate is the only check of its
+// values.
+type Runtime struct {
+	// Beta is Algorithm 2's β (cycles); the paper's reference point is
+	// 50, and Run treats β <= 0 as 50.
 	Beta int
-	// CyclesPerWave is how many cycles each scheduled wave is simulated
-	// for (its Rounds multiplier weights the aggregate).
-	CyclesPerWave int
-	// Mode selects sprint or low-power pair selection.
-	Mode vf.Mode
-	// UseBooster enables IR-Booster; false runs the DVFS baseline.
-	UseBooster bool
-	// Aggressive enables Algorithm 2's aggressive-level adjustment;
-	// false pins groups at their software-guided safe level.
-	Aggressive bool
-	// ToggleMean/ToggleSigma parameterize the per-cycle input flip
-	// intensity process (clipped normal).
-	ToggleMean, ToggleSigma float64
-	// Seed drives all stochastic components.
-	Seed int64
-	// TraceWave, when >= 0, records per-cycle traces for that wave.
-	TraceWave int
 	// Parallel bounds the worker pool that shards the wave schedule:
 	// 0 means one worker per CPU (GOMAXPROCS), 1 forces the serial
 	// reference path, N > 1 uses N workers. Every wave draws from its
@@ -73,6 +64,51 @@ type Options struct {
 	// remain bit-identical across worker counts. False keeps the fixed
 	// window, the determinism reference the manifest pins.
 	SpatialAdaptive bool
+}
+
+// Validate rejects knob values that cannot mean anything: a negative
+// worker count, an unknown fidelity tier, a negative spatial window,
+// and a negative or non-finite skip threshold. Zero values are valid
+// and select defaults, as is any β (β <= 0 falls back to 50).
+func (r Runtime) Validate() error {
+	if r.Parallel < 0 {
+		return fmt.Errorf("negative parallel %d (0 = default, 1 = serial)", r.Parallel)
+	}
+	if !r.Fidelity.Valid() {
+		return fmt.Errorf("unknown fidelity %d (want %v, %v or %v)",
+			int(r.Fidelity), AnalyticToggles, PackedToggles, SpatialPDN)
+	}
+	if r.SpatialWindow < 0 {
+		return fmt.Errorf("negative spatial window %d (0 = default)", r.SpatialWindow)
+	}
+	if r.SpatialSkipMV < 0 || math.IsNaN(r.SpatialSkipMV) || math.IsInf(r.SpatialSkipMV, 0) {
+		return fmt.Errorf("spatial skip threshold %v mV (want a finite value >= 0)", r.SpatialSkipMV)
+	}
+	return nil
+}
+
+// Options configures a run.
+type Options struct {
+	// Runtime carries β, the worker count, the fidelity tier and the
+	// spatial tier's cadence knobs.
+	Runtime
+	// CyclesPerWave is how many cycles each scheduled wave is simulated
+	// for (its Rounds multiplier weights the aggregate).
+	CyclesPerWave int
+	// Mode selects sprint or low-power pair selection.
+	Mode vf.Mode
+	// UseBooster enables IR-Booster; false runs the DVFS baseline.
+	UseBooster bool
+	// Aggressive enables Algorithm 2's aggressive-level adjustment;
+	// false pins groups at their software-guided safe level.
+	Aggressive bool
+	// ToggleMean/ToggleSigma parameterize the per-cycle input flip
+	// intensity process (clipped normal).
+	ToggleMean, ToggleSigma float64
+	// Seed drives all stochastic components.
+	Seed int64
+	// TraceWave, when >= 0, records per-cycle traces for that wave.
+	TraceWave int
 	// Warm, when non-nil, pools the per-worker scratch across Run calls
 	// (a serving runtime executing many requests). Ignored on the
 	// serial reference path; results are bit-identical either way.
@@ -90,7 +126,7 @@ type Options struct {
 // (paper Fig. 3).
 func DefaultOptions(transformer bool, mode vf.Mode) Options {
 	o := Options{
-		Beta: 50, CyclesPerWave: 400, Mode: mode,
+		Runtime: Runtime{Beta: 50}, CyclesPerWave: 400, Mode: mode,
 		UseBooster: true, Aggressive: true,
 		ToggleMean: 0.54, ToggleSigma: 0.16,
 		Seed: 1, TraceWave: 0,

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"aim/internal/compiler"
+	"aim/internal/irdrop"
 	"aim/internal/model"
 	"aim/internal/pim"
 	"aim/internal/vf"
@@ -236,6 +239,41 @@ func TestWarmStateMatchesSerial(t *testing.T) {
 						fidelity, round, workers, got, serial)
 				}
 			}
+		}
+	}
+}
+
+// TestRuntimeValidate: the one check of the Execute-side knobs rejects
+// exactly a negative worker count, an unknown tier, a negative window
+// and a negative or non-finite skip threshold; zero values, any β and
+// the opt-in incremental settings are valid.
+func TestRuntimeValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		rt   Runtime
+		want string // error substring; "" means valid
+	}{
+		{"zero value", Runtime{}, ""},
+		{"reference", Runtime{Beta: 50, Parallel: 1}, ""},
+		{"non-positive beta defaults", Runtime{Beta: -3}, ""},
+		{"many workers", Runtime{Parallel: 64}, ""},
+		{"spatial incremental", Runtime{Fidelity: SpatialPDN, SpatialWindow: 2, SpatialSkipMV: irdrop.DefaultSpatialSkipMV, SpatialAdaptive: true}, ""},
+		{"negative parallel", Runtime{Parallel: -1}, "negative parallel"},
+		{"fidelity below range", Runtime{Fidelity: -1}, "unknown fidelity"},
+		{"fidelity above range", Runtime{Fidelity: SpatialPDN + 1}, "unknown fidelity"},
+		{"negative window", Runtime{SpatialWindow: -1}, "negative spatial window"},
+		{"negative skip", Runtime{SpatialSkipMV: -0.5}, "spatial skip threshold"},
+		{"NaN skip", Runtime{SpatialSkipMV: math.NaN()}, "spatial skip threshold"},
+		{"+Inf skip", Runtime{SpatialSkipMV: math.Inf(1)}, "spatial skip threshold"},
+		{"-Inf skip", Runtime{SpatialSkipMV: math.Inf(-1)}, "spatial skip threshold"},
+	}
+	for _, c := range cases {
+		err := c.rt.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

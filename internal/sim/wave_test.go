@@ -70,7 +70,7 @@ func checkHandWave(t *testing.T, groups [][]handTask, failures int, ops []opWant
 	m := irdrop.Model{StaticMV: 10, DynCoeffMV: 130}
 	table := vf.NewTable(m)
 	opt := Options{
-		Beta: 1000, CyclesPerWave: handCycles, Mode: vf.LowPower,
+		Runtime: Runtime{Beta: 1000}, CyclesPerWave: handCycles, Mode: vf.LowPower,
 		UseBooster: true, Aggressive: true,
 		ToggleMean: 0.75, ToggleSigma: 0,
 	}

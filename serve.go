@@ -174,89 +174,24 @@ func (s *Server) ServeList(ctx context.Context, cfgs []Config) ([]Result, error)
 	return out, nil
 }
 
-// ServerStats are the server's cumulative counters.
-type ServerStats struct {
-	// Requests counts answered requests; Compiles counts plan
-	// compilations (one per distinct cache key); PlanHits counts
-	// cache lookups answered by an existing plan; DiskHits counts
-	// plans loaded from the persistent store instead of compiled
-	// (always 0 without ServerOptions.PlanCacheDir).
-	Requests, Compiles, PlanHits, DiskHits int64
-	// Batches counts admission batches; MeanBatch is requests per
-	// batch.
-	Batches   int64
-	MeanBatch float64
-	// Shed counts requests refused because the admission queue was
-	// full; RateLimited counts requests refused by the per-client rate
-	// limiter. Neither is included in Requests.
-	Shed, RateLimited int64
-	// ServedAnalytic/ServedPacked/ServedSpatial count answered
-	// requests by the fidelity tier that executed them — under the
-	// degradation ladder the mix shifts with load.
-	ServedAnalytic, ServedPacked, ServedSpatial int64
-	// SpatialSolves/SpatialSkips/SpatialVCycles/SpatialSaturated are the
-	// spatial tier's cumulative mesh-solver accounting across served
-	// requests: windows solved (and the V-cycles they took), windows
-	// answered from the held field by the incremental skip gate, and
-	// solves that hit the iteration cap before converging. All stay 0
-	// until a spatial-tier request is served.
-	SpatialSolves, SpatialSkips, SpatialVCycles, SpatialSaturated int64
-}
+// ServerStats are the server's cumulative counters: requests,
+// compiles, plan-cache and disk hits, batches, admission refusals,
+// served requests per fidelity tier and the spatial tier's mesh-solve
+// work.
+type ServerStats = serve.Stats
 
 // Stats snapshots the counters.
-func (s *Server) Stats() ServerStats {
-	st := s.inner.Stats()
-	return ServerStats{
-		Requests: st.Requests, Compiles: st.Compiles, PlanHits: st.PlanHits,
-		DiskHits: st.DiskHits, Batches: st.Batches, MeanBatch: st.MeanBatch,
-		Shed: st.Shed, RateLimited: st.RateLimited,
-		ServedAnalytic: st.ServedAnalytic, ServedPacked: st.ServedPacked,
-		ServedSpatial: st.ServedSpatial,
-		SpatialSolves: st.SpatialSolves, SpatialSkips: st.SpatialSkips,
-		SpatialVCycles: st.SpatialVCycles, SpatialSaturated: st.SpatialSaturated,
-	}
-}
+func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
-// ServerMetrics summarizes served traffic. Unlike Results these depend
-// on load and scheduling: they are observability, not part of the
+// ServerMetrics summarizes served traffic: the counters plus wall
+// time, request rate, latency percentiles, shed rate and the
+// degradation ladder's position. Unlike Results these depend on load
+// and scheduling: they are observability, not part of the
 // deterministic contract.
-type ServerMetrics struct {
-	ServerStats
-	// Wall is time since the server started; ReqPerSec is Requests
-	// over Wall.
-	Wall      time.Duration
-	ReqPerSec float64
-	// P50/P95/P99 are admission-to-answer latency percentiles.
-	P50, P95, P99 time.Duration
-	// ShedRate is refused requests (shed + rate-limited) over all
-	// admission attempts — the fraction of offered load turned away.
-	ShedRate float64
-	// LadderTier is the degradation ladder's current tier ("spatial",
-	// "packed" or "analytic"); LadderDowns/LadderUps count its steps.
-	LadderTier  string
-	LadderDowns int64
-	LadderUps   int64
-}
+type ServerMetrics = serve.Metrics
 
 // Metrics snapshots the timing view.
-func (s *Server) Metrics() ServerMetrics {
-	m := s.inner.Metrics()
-	return ServerMetrics{
-		ServerStats: ServerStats{
-			Requests: m.Requests, Compiles: m.Compiles, PlanHits: m.PlanHits,
-			DiskHits: m.DiskHits, Batches: m.Batches, MeanBatch: m.MeanBatch,
-			Shed: m.Shed, RateLimited: m.RateLimited,
-			ServedAnalytic: m.ServedAnalytic, ServedPacked: m.ServedPacked,
-			ServedSpatial: m.ServedSpatial,
-			SpatialSolves: m.SpatialSolves, SpatialSkips: m.SpatialSkips,
-			SpatialVCycles: m.SpatialVCycles, SpatialSaturated: m.SpatialSaturated,
-		},
-		Wall: m.Wall, ReqPerSec: m.ReqPerSec,
-		P50: m.P50, P95: m.P95, P99: m.P99,
-		ShedRate: m.ShedRate, LadderTier: m.LadderTier,
-		LadderDowns: m.LadderDowns, LadderUps: m.LadderUps,
-	}
-}
+func (s *Server) Metrics() ServerMetrics { return s.inner.Metrics() }
 
 // TokensPerSec estimates serving throughput at the paper's Houmo
 // MoMagic30 reference point (~17.5 tokens/s at the nominal 256 TOPS),
