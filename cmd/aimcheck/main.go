@@ -1,9 +1,8 @@
 // Command aimcheck verifies the repository's persistent artifacts: the
 // pin manifest (manifest/experiments.json, the single source of truth
-// for every sha256-pinned table and irmap output), plan-store
-// directories, and BENCH_*.json benchmark artifacts. It prints one
-// line per finding and exits 1 if anything is damaged, 0 on a
-// pristine tree — the CI contract.
+// for every sha256-pinned table and irmap output) and plan-store
+// directories. It prints one line per finding and exits 1 if anything
+// is damaged, 0 on a pristine tree — the CI contract.
 //
 // The manifest's irmap pins are always re-derived (the render is
 // sub-second); the experiment-table pins are re-derived only under
@@ -15,7 +14,7 @@
 // Usage:
 //
 //	aimcheck [-manifest manifest/experiments.json] [-plan-cache-dir DIR]
-//	         [-experiments] [-parallel N] [BENCH_*.json ...]
+//	         [-experiments] [-parallel N]
 //	aimcheck -write [-manifest PATH] [-seed N]
 package main
 
@@ -56,9 +55,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Every artifact is named by a flag: a positional argument would
+	// otherwise be ignored and the run would report a false pass.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "aimcheck: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	if *write {
-		if fs.NArg() > 0 || *planDir != "" {
-			fmt.Fprintln(stderr, "aimcheck: -write takes no bench files or -plan-cache-dir")
+		if *planDir != "" {
+			fmt.Fprintln(stderr, "aimcheck: -write takes no -plan-cache-dir")
 			return 2
 		}
 		return writeManifest(*manifest, *seed, *parallel, stderr)
@@ -89,11 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "planstore: %d entries verified, %d findings\n", entries, len(fs))
 		findings = append(findings, fs...)
-	}
-	for _, path := range fs.Args() {
-		bfs := check.Bench(path)
-		fmt.Fprintf(stderr, "bench: %s, %d findings\n", filepath.Base(path), len(bfs))
-		findings = append(findings, bfs...)
 	}
 
 	for _, f := range findings {

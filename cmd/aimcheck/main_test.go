@@ -53,7 +53,8 @@ func TestFlagHandling(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"help", []string{"-h"}, 0},
-		{"write with bench files", []string{"-write", "BENCH_x.json"}, 2},
+		{"positional argument", []string{"bench_x.json"}, 2},
+		{"write with positional", []string{"-write", "x"}, 2},
 		{"write with plan dir", []string{"-write", "-plan-cache-dir", "/tmp/x"}, 2},
 		{"missing manifest", []string{"-manifest", "/nonexistent/experiments.json"}, 1},
 	}
@@ -66,15 +67,10 @@ func TestFlagHandling(t *testing.T) {
 }
 
 // TestPristineTreeExitsZero: the CI contract — manifest + populated
-// plan store + valid bench artifact, all pristine, exit 0.
+// plan store, both pristine, exit 0.
 func TestPristineTreeExitsZero(t *testing.T) {
 	dir, _ := planDir(t)
-	bench := filepath.Join(t.TempDir(), "BENCH_x.json")
-	if err := os.WriteFile(bench, []byte(`{"benchmarks": [
-	  {"name": "BenchmarkX", "iterations": 5, "ns_per_op": 100, "passes": 3}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runCapture(t, "-manifest", repoManifest, "-plan-cache-dir", dir, bench)
+	code, stdout, stderr := runCapture(t, "-manifest", repoManifest, "-plan-cache-dir", dir)
 	if code != 0 {
 		t.Fatalf("exit = %d on a pristine tree\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -145,32 +141,4 @@ func TestCorruptionClassesExitOne(t *testing.T) {
 			t.Fatalf("exit = %d, stdout = %q", code, stdout)
 		}
 	})
-	t.Run("malformed bench json", func(t *testing.T) {
-		bench := filepath.Join(t.TempDir(), "BENCH_x.json")
-		if err := os.WriteFile(bench, []byte(`{"benchmarks": [`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		code, stdout, _ := runCapture(t, "-manifest", repoManifest, bench)
-		if code != 1 || !strings.Contains(stdout, "malformed JSON") {
-			t.Fatalf("exit = %d, stdout = %q", code, stdout)
-		}
-	})
-}
-
-// TestCommittedBenchArtifactsVerify: whatever BENCH_*.json files are
-// committed at the repo root must satisfy the checker — the same
-// invariant `make check` enforces in CI.
-func TestCommittedBenchArtifactsVerify(t *testing.T) {
-	paths, err := filepath.Glob("../../BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Skip("no committed bench artifacts")
-	}
-	args := append([]string{"-manifest", repoManifest}, paths...)
-	code, stdout, stderr := runCapture(t, args...)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
 }

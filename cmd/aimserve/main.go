@@ -1,11 +1,10 @@
 // Command aimserve drives the compile-once serving runtime — the
 // paper's d-Matrix/Houmo scenario of a PIM chip serving models under
-// load. It has three modes:
+// load. It has two modes:
 //
 //	aimserve          closed-loop load generator (deterministic
 //	                  aggregate report beside serving metrics)
 //	aimserve serve    host the HTTP/JSON API on an address
-//	aimserve bench-http  traffic-ramp benchmark, JSON to a file
 //
 // Load-generator usage:
 //
@@ -47,13 +46,8 @@ func main() {
 // dispatch routes to a subcommand; bare arguments mean the
 // load-generator mode.
 func dispatch(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 {
-		switch args[0] {
-		case "serve":
-			return runServe(args[1:], stdout, stderr)
-		case "bench-http":
-			return runBenchHTTP(args[1:], stdout, stderr)
-		}
+	if len(args) > 0 && args[0] == "serve" {
+		return runServe(args[1:], stdout, stderr)
 	}
 	return run(args, stdout, stderr)
 }
@@ -128,6 +122,9 @@ func arrivalOffsets(kind string, n int, rate, factor float64, period time.Durati
 	default:
 		return nil, fmt.Errorf("arrivals %q: want poisson, bursty or diurnal", kind)
 	}
+	if math.IsNaN(rate) {
+		return nil, fmt.Errorf("rate %v: want a non-negative arrival rate", rate)
+	}
 	if rate <= 0 {
 		return nil, nil
 	}
@@ -154,7 +151,13 @@ func arrivalOffsets(kind string, n int, rate, factor float64, period time.Durati
 			r = rate * (1 + (factor-1)*(1+math.Sin(2*math.Pi*t/p))/2)
 		}
 		t += arr.Exp(r)
-		out[i] = time.Duration(t * float64(time.Second))
+		// A schedule past the Duration range would wrap negative
+		// and turn the pacing sleep into centuries.
+		ns := t * float64(time.Second)
+		if ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("rate %v: arrival %d falls %.3g s out, past the schedulable range", rate, i, t)
+		}
+		out[i] = time.Duration(ns)
 	}
 	return out, nil
 }
@@ -184,6 +187,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "aimserve: unexpected argument %q (modes: serve, or flags only for the load generator)\n", fs.Arg(0))
 		return 2
 	}
 	scen, err := parseMix(*mix)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -130,6 +131,19 @@ func TestDispatchRoutesSubcommands(t *testing.T) {
 	if !strings.Contains(stderr.String(), "positive request count") {
 		t.Errorf("loadgen error missing: %q", stderr.String())
 	}
+	// A retired or misspelt mode is refused, never run as a load test.
+	for _, args := range [][]string{
+		{"bench-http"},
+		{"-n", "1", "-mix", "resnet18:sprint", "serv"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := dispatch(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), "unexpected argument") {
+			t.Errorf("%v: stderr %q missing \"unexpected argument\"", args, stderr.String())
+		}
+	}
 }
 
 // TestServeModeFlagErrors: serve mode refuses malformed flags with
@@ -198,6 +212,14 @@ func TestArrivalOffsets(t *testing.T) {
 	if _, err := arrivalOffsets("diurnal", 8, 10, 4, 0, 1); err == nil {
 		t.Error("zero period must error")
 	}
+	// NaN slips past rate <= 0, and an offset past the Duration range
+	// wraps negative; either would stall the pacing sleep for good.
+	if _, err := arrivalOffsets("poisson", 8, math.NaN(), 4, time.Second, 1); err == nil {
+		t.Error("NaN rate must error")
+	}
+	if _, err := arrivalOffsets("poisson", 8, 1e-12, 4, time.Second, 1); err == nil {
+		t.Error("offsets past the Duration range must error")
+	}
 }
 
 func TestLoadgenArrivalFlagErrors(t *testing.T) {
@@ -205,6 +227,7 @@ func TestLoadgenArrivalFlagErrors(t *testing.T) {
 		{"-rate", "5", "-arrivals", "weird"},
 		{"-rate", "5", "-arrivals", "bursty", "-burst-factor", "0.5"},
 		{"-rate", "5", "-arrivals", "diurnal", "-period", "0s"},
+		{"-rate", "NaN"},
 	}
 	for _, args := range cases {
 		var stdout, stderr strings.Builder

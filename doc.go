@@ -45,7 +45,8 @@
 // word-wise AND + popcount — on the default 64-bank × 128-cell macro,
 // ~20 word operations against the bit-sliced per-line Hamming counts
 // instead of a banks×cells byte walk (~500x on the macro Rtog cycle;
-// see BENCH_rtog.json from `make bench-rtog`). The packed path is
+// see the BenchmarkRtog micro-benchmarks in internal/pim). The packed
+// path is
 // proven bit-identical to the retained one-byte-per-bit reference
 // implementations, and the toggle sources draw their RNG in cell
 // order, so fixed-seed outputs are unchanged across the packed
@@ -58,7 +59,8 @@
 // handful of cycles (~54x on the 64x64 sign-off solve; a 512x512
 // production floorplan — pdn.ScaledFloorplan, 64x the unknowns —
 // solves in less wall-clock than the reference needs for 64x64; see
-// BENCH_pdn.json from `make bench-pdn`). The original relaxation loop
+// the BenchmarkPDN micro-benchmarks in internal/pdn). The original
+// relaxation loop
 // is retained as the reference implementation on the same stencil
 // kernel, bit-identical to the historical solver, and keeps serving
 // the default die so Fig. 16 tables and cmd/irmap output are pinned
@@ -77,7 +79,7 @@
 // activity vector becomes a die current map whose solved field yields
 // every group's drop from its own tiles — real neighbour coupling in
 // place of the analytic noise term, at ~4x the packed tier's
-// wall-clock (see BENCH_spatial.json from `make bench-spatial`).
+// wall-clock (see BenchmarkSimSpatial in internal/sim).
 // Fidelity is a runtime knob outside the plan-cache key, so one
 // compiled plan serves every tier; the spatial tier is bit-identical
 // for any worker count, and its per-group drops agree with the
@@ -98,9 +100,9 @@
 // is byte-identical for any worker count. With the cache warm a
 // repeated request skips straight to execution — ~25x faster than a
 // cold Run on resnet18 and ~57x on the LLM deployment points, where
-// the HR-aware mapping SA dominates compilation (see BENCH_serve.json
-// from `make bench-serve`, and cmd/aimserve for a closed-loop load
-// generator with Poisson arrivals over the full zoo).
+// the HR-aware mapping SA dominates compilation (see the BenchmarkServe
+// micro-benchmarks in internal/serve, and cmd/aimserve for a
+// closed-loop load generator with Poisson arrivals over the full zoo).
 //
 // The plan cache survives the process when ServerOptions.PlanCacheDir
 // is set (CLI: -plan-cache-dir on aimc and aimserve): compiled plans
@@ -109,7 +111,7 @@
 // generation, with a decoded-plan LRU above a pluggable directory
 // backend below. A restarted server — or another replica sharing the
 // directory — loads each plan instead of recompiling it (~10x faster
-// on resnet18; see BENCH_planstore.json from `make bench-planstore`),
+// on resnet18; see BenchmarkServeRestartWarmDisk in internal/serve),
 // and a decoded plan executes byte-identically to a freshly compiled
 // one for any worker count. Bumping the code-version generation makes
 // every stale entry unreachable at once, and corrupt or stale files
@@ -129,8 +131,8 @@
 // up with headroom. Because fidelity stays outside the plan-cache key,
 // a tier switch is a free cache hit — under a 4x traffic burst the
 // ladder trades fidelity for latency with exactly one compile (see
-// BENCH_http.json from `make bench-http`, and `aimserve serve` /
-// `aimserve -target` for hosting and driving the API).
+// `aimserve serve` and `aimserve -target` for hosting and driving the
+// API).
 //
 // The system verifies its own artifacts. cmd/aimcheck (engine:
 // internal/check) re-derives the sha256 pins in
@@ -139,8 +141,8 @@
 // by the byte-pin tests instead of scattered hash literals and
 // regenerated only by `aimcheck -write` — walks plan-store
 // directories (content address, versions, decode → re-encode
-// byte-identity, orphaned temp files), and validates BENCH_*.json
-// shape, exiting non-zero on any finding; CI runs it plus a
+// byte-identity, orphaned temp files), exiting non-zero on any
+// finding; CI runs it plus a
 // deliberate-corruption smoke as `make check`. On the fault side,
 // planstore.NewFaulty wraps any backend with a deterministic
 // misbehavior schedule (bit flips, truncations, stale rewrites, write

@@ -1,12 +1,11 @@
 // Package check is the integrity checker behind cmd/aimcheck: it
 // verifies the repository's persistent artifacts after the fact —
 // plan-store directories (envelope, content address, decode
-// round-trip), the pin manifest that is the single source of truth
-// for every sha256-pinned experiment table and irmap output, and
-// BENCH_*.json benchmark artifacts (shape, provenance, finite
-// numbers). Each verifier returns Findings rather than errors: a
-// finding is a fact about a damaged artifact, and a run with zero
-// findings is the machine-checkable definition of "pristine".
+// round-trip) and the pin manifest that is the single source of truth
+// for every sha256-pinned experiment table and irmap output. Each
+// verifier returns Findings rather than errors: a finding is a fact
+// about a damaged artifact, and a run with zero findings is the
+// machine-checkable definition of "pristine".
 package check
 
 import (
@@ -19,7 +18,7 @@ import (
 // going after each one so a single run reports everything.
 type Finding struct {
 	// Area names the verifier ("planstore", "manifest", "irmap",
-	// "bench", "experiments").
+	// "experiments").
 	Area string
 	// Path locates the artifact: a file path, a store entry name, or a
 	// manifest pin id.

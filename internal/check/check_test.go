@@ -246,100 +246,3 @@ func TestIRMapTamperDetected(t *testing.T) {
 		t.Fatalf("tampered ascii pin: findings = %v, want 1 mismatch", fs)
 	}
 }
-
-func benchFile(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestBenchSeries(t *testing.T) {
-	valid := `{"benchmarks": [
-	  {"name": "BenchmarkPlanEncode", "iterations": 20, "ns_per_op": 7831691, "passes": 3},
-	  {"name": "BenchmarkPlanDecode", "iterations": 20, "ns_per_op": 4550748, "passes": 3}
-	]}`
-	if fs := Bench(benchFile(t, valid)); len(fs) != 0 {
-		t.Fatalf("valid series has findings: %v", fs)
-	}
-	spatial := `{"benchmarks": [
-	  {"name": "BenchmarkSimSpatialIncr", "iterations": 3, "ns_per_op": 2.1e8, "passes": 3, "saturated": 0},
-	  {"name": "BenchmarkSimPacked", "iterations": 3, "ns_per_op": 1.2e8, "passes": 3}
-	], "spatial_packed_ratio": 1.75}`
-	if fs := Bench(benchFile(t, spatial)); len(fs) != 0 {
-		t.Fatalf("valid spatial series has findings: %v", fs)
-	}
-	cases := []struct {
-		name    string
-		content string
-		problem string
-	}{
-		{"malformed json", `{"benchmarks": [`, "malformed JSON"},
-		{"unknown schema", `{"something": 1}`, "unrecognized schema"},
-		{"empty series", `{"benchmarks": []}`, "empty benchmark series"},
-		{"bad name", `{"benchmarks": [{"name": "oops", "iterations": 1, "ns_per_op": 5, "passes": 3}]}`, "does not start with Benchmark"},
-		{"duplicate name", `{"benchmarks": [
-		   {"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 3},
-		   {"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 3}]}`, "duplicate"},
-		{"zero iterations", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 0, "ns_per_op": 5, "passes": 3}]}`, "iterations"},
-		{"negative ns", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": -5, "passes": 3}]}`, "finite and positive"},
-		{"missing passes", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5}]}`, "min-of-3 provenance"},
-		{"too few passes", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 2}]}`, "min-of-3 provenance"},
-		{"nonzero saturation", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 3, "saturated": 0.5}]}`, "iteration cap"},
-		{"negative saturation", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 3, "saturated": -1}]}`, "finite and non-negative"},
-		{"bad ratio", `{"benchmarks": [{"name": "BenchmarkX", "iterations": 1, "ns_per_op": 5, "passes": 3}], "spatial_packed_ratio": 0}`, "spatial_packed_ratio"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			fs := Bench(benchFile(t, c.content))
-			if len(fs) == 0 {
-				t.Fatal("no findings")
-			}
-			found := false
-			for _, f := range fs {
-				found = found || strings.Contains(f.Problem, c.problem)
-			}
-			if !found {
-				t.Fatalf("findings %v do not name %q", fs, c.problem)
-			}
-		})
-	}
-}
-
-func TestBenchHTTP(t *testing.T) {
-	phase := `{"requests": 100, "ok": 95, "shed": 5, "shed_rate": 0.05,
-	           "p50_ms": 1.5, "p95_ms": 4.0, "p99_ms": 9.0}`
-	valid := `{"bench": "http", "runs": 3, "workers": 4,
-	           "steady": ` + phase + `, "burst": ` + phase + `}`
-	if fs := Bench(benchFile(t, valid)); len(fs) != 0 {
-		t.Fatalf("valid http document has findings: %v", fs)
-	}
-	cases := []struct {
-		name    string
-		content string
-		problem string
-	}{
-		{"too few runs", strings.Replace(valid, `"runs": 3`, `"runs": 1`, 1), "min-of-3 provenance"},
-		{"zero workers", strings.Replace(valid, `"workers": 4`, `"workers": 0`, 1), "workers"},
-		{"ok+shed mismatch", strings.Replace(valid, `"ok": 95`, `"ok": 90`, 2), "!= requests"},
-		{"unordered percentiles", strings.Replace(valid, `"p95_ms": 4.0`, `"p95_ms": 40.0`, 2), "not ordered"},
-		{"empty phase", strings.Replace(valid, `"requests": 100`, `"requests": 0`, 2), "requests"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			fs := Bench(benchFile(t, c.content))
-			if len(fs) == 0 {
-				t.Fatal("no findings")
-			}
-			found := false
-			for _, f := range fs {
-				found = found || strings.Contains(f.Problem, c.problem)
-			}
-			if !found {
-				t.Fatalf("findings %v do not name %q", fs, c.problem)
-			}
-		})
-	}
-}

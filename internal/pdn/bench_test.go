@@ -1,7 +1,8 @@
 package pdn
 
-// The PDN solver perf trajectory (BENCH_pdn.json via make bench-pdn):
-// the retained Gauss-Seidel reference against the multigrid production
+// The PDN solver micro-benchmarks
+// (go test -run '^$' -bench BenchmarkPDN ./internal/pdn): the retained
+// Gauss-Seidel reference against the multigrid production
 // solver on the 64×64 sign-off solve, and multigrid alone at the
 // production scales Gauss-Seidel cannot reach.
 //

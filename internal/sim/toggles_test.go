@@ -187,7 +187,7 @@ func BenchmarkSimPacked(b *testing.B) { benchSimFidelity(b, PackedToggles, false
 
 // BenchmarkSimPackedParallel is the production wave executor
 // (Parallel=0): contiguous wave chunks with per-chunk scratch reuse,
-// one worker per CPU. Expected ordering in BENCH_rtog.json:
+// one worker per CPU. Expected ordering:
 // BenchmarkSimPackedParallel <= BenchmarkSimPacked on any machine —
 // with a single CPU the chunked path still wins by skipping the
 // per-wave synthetic-bank reallocations (roughly half the run's

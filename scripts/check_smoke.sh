@@ -2,12 +2,11 @@
 # check_smoke.sh — the CI integrity gate (`make check`).
 #
 # Two halves. First the positive contract: aimcheck over the pin
-# manifest, a freshly-populated plan-cache directory and every
-# committed BENCH_*.json must exit 0 — the tree as shipped verifies.
-# Then the negative contract: one deliberate corruption per artifact
-# class (bit-flipped plan entry, truncated plan entry, orphaned temp
-# file, tampered manifest pin, malformed bench JSON), each of which
-# must flip the exit code to 1. A checker that cannot see the
+# manifest and a freshly-populated plan-cache directory must exit 0 —
+# the tree as shipped verifies. Then the negative contract: one
+# deliberate corruption per artifact class (bit-flipped plan entry,
+# truncated plan entry, orphaned temp file, tampered manifest pin),
+# each of which must flip the exit code to 1. A checker that cannot see the
 # corruption it was built for is worse than no checker; this script is
 # the mechanical proof that it can.
 #
@@ -62,12 +61,8 @@ entry() {
 	find "$1" -type f | sort | head -n 1
 }
 
-# 1. Pristine tree: manifest + plan store + committed bench artifacts.
-set -- -plan-cache-dir "$plans"
-for f in BENCH_*.json; do
-	[ -e "$f" ] && set -- "$@" "$f"
-done
-expect 0 "pristine tree verifies" "$@"
+# 1. Pristine tree: manifest + plan store.
+expect 0 "pristine tree verifies" -plan-cache-dir "$plans"
 
 # 2. Bit-flipped plan entry: xor the middle byte in place.
 clone "$plans" "$tmp/flip"
@@ -98,10 +93,6 @@ expect 1 "orphaned temp file detected" -plan-cache-dir "$tmp/orphan"
 sed 's/"ascii": "[0-9a-f]*"/"ascii": "0000000000000000000000000000000000000000000000000000000000000000"/' \
 	manifest/experiments.json >"$tmp/experiments.json"
 expect 1 "tampered manifest pin detected" -manifest "$tmp/experiments.json"
-
-# 6. Malformed bench artifact: truncated JSON.
-printf '{"benchmarks": [' >"$tmp/BENCH_bad.json"
-expect 1 "malformed bench artifact detected" "$tmp/BENCH_bad.json"
 
 if [ "$fail" -ne 0 ]; then
 	echo "check_smoke: FAILED" >&2
