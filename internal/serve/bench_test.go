@@ -7,7 +7,7 @@ import (
 	"aim/internal/vf"
 )
 
-// benchReq is the reference serving point the perf trajectory tracks:
+// benchReq is the reference serving point the serve benchmarks share:
 // the smallest zoo network, low-power mode, default knobs.
 func benchReq() Request { return Request{Network: "resnet18", Mode: vf.LowPower} }
 
