@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke bench check docs-check aimlint e2ebench-check lint ci
+.PHONY: all build vet fmt-check test race race-stress fuzz-smoke bench check docs-check aimlint e2ebench-check lint ci
 
 all: build
 
@@ -24,6 +24,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Race stress: ten race-detector passes over the code several
+# goroutines reach at once — the serving cache's singleflight slots,
+# the HTTP drain gate racing concurrent submits, and the plan store's
+# shared decoded networks. One -race pass can miss an interleaving
+# that ten catch.
+race-stress:
+	$(GO) test -race -count=10 -run 'TestCache|TestHTTPGracefulDrain|TestHTTPDrainUnderConcurrentSubmits' ./internal/serve
+	$(GO) test -race -count=10 -run TestStoreSharesNetwork ./internal/planstore
 
 # Fuzz smoke: a few seconds per native fuzz target on the three
 # hostile input boundaries — the HTTP submit decoder, the scenario-mix
@@ -82,4 +91,4 @@ e2ebench-check:
 
 lint: vet fmt-check docs-check aimlint
 
-ci: build lint e2ebench-check race fuzz-smoke bench check
+ci: build lint e2ebench-check race race-stress fuzz-smoke bench check

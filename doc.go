@@ -108,8 +108,8 @@
 // is set (CLI: -plan-cache-dir on aimc and aimserve): compiled plans
 // persist to a content-addressed store (internal/planstore) keyed by
 // the sha256 of exactly the compile inputs plus a code-version
-// generation, with a decoded-plan LRU above a pluggable directory
-// backend below. A restarted server — or another replica sharing the
+// generation, over a directory backend; the server's plan cache is the
+// only in-memory copy. A restarted server — or another replica sharing the
 // directory — loads each plan instead of recompiling it (~10x faster
 // on resnet18; see BenchmarkServeRestartWarmDisk in internal/serve),
 // and a decoded plan executes byte-identically to a freshly compiled

@@ -9,6 +9,7 @@ package compiler
 import (
 	"fmt"
 
+	"aim/internal/irdrop"
 	"aim/internal/mapping"
 	"aim/internal/model"
 	"aim/internal/pim"
@@ -249,7 +250,7 @@ func newMapper(cfg pim.Config, opt Options) func([]mapping.Task) *mapping.Mappin
 		return func(tasks []mapping.Task) *mapping.Mapping { return mapping.Random(tasks, cfg, rng) }
 	case HRAwareMap:
 		return func(tasks []mapping.Task) *mapping.Mapping {
-			eval := mapping.NewEvaluator(cfg, modelFor(cfg), opt.Mode, xrand.NewNamed(opt.Seed, "compiler/eval"))
+			eval := mapping.NewEvaluator(cfg, irdrop.ModelFor(cfg.Kind), opt.Mode, xrand.NewNamed(opt.Seed, "compiler/eval"))
 			rng := xrand.NewNamed(opt.Seed, "compiler/sa")
 			best, _ := mapping.HRAware(tasks, eval, rng, mapping.DefaultSAOptions())
 			return best
@@ -257,11 +258,6 @@ func newMapper(cfg pim.Config, opt Options) func([]mapping.Task) *mapping.Mappin
 	default:
 		panic(fmt.Sprintf("compiler: unknown strategy %d", int(opt.Strategy)))
 	}
-}
-
-// modelFor picks the IR-drop model matching the macro kind.
-func modelFor(cfg pim.Config) (m irdropModel) {
-	return modelForKind(cfg.Kind)
 }
 
 // Quality returns the surrogate task quality of the compiled network.

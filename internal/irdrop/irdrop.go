@@ -10,6 +10,7 @@
 package irdrop
 
 import (
+	"aim/internal/pim"
 	"aim/internal/xrand"
 )
 
@@ -42,6 +43,14 @@ func DPIMModel() Model {
 // 50%, and its tighter analog current behaviour gives r ≈ 0.998.
 func APIMModel() Model {
 	return Model{StaticMV: 42, DynCoeffMV: 110, NoiseMV: 0.8}
+}
+
+// ModelFor maps a macro family to its calibrated IR-drop model.
+func ModelFor(k pim.MacroKind) Model {
+	if k == pim.APIM {
+		return APIMModel()
+	}
+	return DPIMModel()
 }
 
 // DropEstimator is the pluggable drop-estimation layer between the

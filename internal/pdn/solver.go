@@ -149,27 +149,26 @@ type Multigrid struct {
 	rhs [][]float64
 	err [][]float64
 	// v is the warm-start cache: the converged field of the previous
-	// solve, used as the next initial guess while WarmStart is true.
-	// cold marks it stale after Reset, so the next solve starts from
-	// all-Vdd in the same buffer instead of allocating a new field.
+	// solve, used as the next initial guess. cold marks it stale after
+	// Reset, so the next solve starts from all-Vdd in the same buffer
+	// instead of allocating a new field.
 	v    []float64
 	cold bool
 	// Workers bounds the checkerboard sweep fan-out: 0 means one per
 	// CPU (GOMAXPROCS), 1 forces serial sweeps. Grids below
 	// parallelMinCells always sweep serially.
 	Workers int
-	// PreSmooth/PostSmooth are the red-black sweeps on each side of
-	// the coarse-grid correction (defaults 2 and 2).
-	PreSmooth, PostSmooth int
-	// WarmStart enables the previous-solution cache (default true).
-	WarmStart bool
 }
+
+// preSmooth and postSmooth are the red-black sweeps on each side of
+// the coarse-grid correction.
+const preSmooth, postSmooth = 2, 2
 
 // NewMultigrid builds the level hierarchy for a grid. Setup cost is a
 // few fine-grid sweeps' worth; reuse the instance across solves to
 // amortize it and to benefit from warm starts.
 func NewMultigrid(g *Grid) *Multigrid {
-	m := &Multigrid{g: g, PreSmooth: 2, PostSmooth: 2, WarmStart: true}
+	m := &Multigrid{g: g}
 	st := g.stencil()
 	for {
 		m.levels = append(m.levels, st)
@@ -230,7 +229,7 @@ func (m *Multigrid) SolveFieldDelta(current []float64, tol float64, maxIter int)
 		panic(fmt.Sprintf("pdn: current map size %d != %d", len(current), n))
 	}
 	m.levels[0].rhs(g.Vdd, current, m.rhs[0])
-	if m.v == nil || !m.WarmStart || m.cold {
+	if m.v == nil || m.cold {
 		if m.v == nil {
 			m.v = make([]float64, n)
 		}
@@ -265,7 +264,7 @@ func (m *Multigrid) cycle(l int, v, rhs []float64, tol float64) float64 {
 		}
 		return delta
 	}
-	for i := 0; i < m.PreSmooth; i++ {
+	for i := 0; i < preSmooth; i++ {
 		m.sweep(st, v, rhs, false)
 	}
 	st.restrictResidual(v, rhs, m.rhs[l+1])
@@ -275,10 +274,10 @@ func (m *Multigrid) cycle(l int, v, rhs []float64, tol float64) float64 {
 	}
 	m.cycle(l+1, ec, m.rhs[l+1], tol)
 	delta := st.prolongAdd(ec, v)
-	for i := 0; i < m.PostSmooth; i++ {
+	for i := 0; i < postSmooth; i++ {
 		// Only the final polishing sweep needs the convergence delta;
 		// the earlier ones run the delta-free kernel.
-		if i < m.PostSmooth-1 {
+		if i < postSmooth-1 {
 			m.sweep(st, v, rhs, false)
 		} else if d := m.sweep(st, v, rhs, true); d > delta {
 			delta = d

@@ -15,11 +15,8 @@ import (
 var ErrNotFound = errors.New("planstore: entry not found")
 
 // Backend is the storage layer under the plan store: a flat namespace
-// of immutable blobs addressed by their content-hash name. The
-// interface is deliberately minimal — the same five operations a
-// shared or remote store (object storage, a fleet-wide cache service)
-// can offer — so the local directory implementation below is just the
-// first backend, not the shape of the abstraction.
+// of immutable blobs addressed by their content-hash name. It declares
+// exactly the operations Store calls.
 //
 // Entries are content-addressed and therefore immutable: a Store never
 // rewrites a name with different bytes, so backends may cache
@@ -27,17 +24,15 @@ var ErrNotFound = errors.New("planstore: entry not found")
 type Backend interface {
 	// Load returns the blob stored under name, or ErrNotFound.
 	Load(name string) ([]byte, error)
-	// Store durably writes the blob under name. Writing a name that
-	// already exists is allowed and must leave either the old or the
-	// new bytes intact (they are identical by content addressing).
+	// Store writes the blob under name. It need not be durable: an
+	// entry torn by a crash fails the codec's integrity check and
+	// reads as a miss. Writing a name that already exists is allowed
+	// and must leave either the old or the new bytes intact (they are
+	// identical by content addressing).
 	Store(name string, data []byte) error
-	// Has reports whether name exists without reading it.
-	Has(name string) bool
 	// Remove deletes the entry; removing a missing name is not an
 	// error (eviction races are benign).
 	Remove(name string) error
-	// List returns all stored names in lexical order.
-	List() ([]string, error)
 }
 
 // Dir is the local-directory backend: one file per plan at
@@ -108,12 +103,6 @@ func (d *Dir) Store(name string, data []byte) error {
 	return nil
 }
 
-// Has implements Backend.
-func (d *Dir) Has(name string) bool {
-	_, err := os.Stat(d.path(name))
-	return err == nil
-}
-
 // Remove implements Backend.
 func (d *Dir) Remove(name string) error {
 	err := os.Remove(d.path(name))
@@ -167,8 +156,8 @@ func (d *Dir) SweepOrphans() (int, error) {
 	return swept, nil
 }
 
-// List implements Backend: every regular file in the fanout tree whose
-// name is not a leftover temp file.
+// List returns every stored name in lexical order: each regular file
+// in the fanout tree whose name is not a leftover temp file.
 func (d *Dir) List() ([]string, error) {
 	var names []string
 	err := filepath.WalkDir(d.root, func(path string, e fs.DirEntry, err error) error {

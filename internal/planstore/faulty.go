@@ -156,11 +156,5 @@ type injectedError struct{}
 
 func (*injectedError) Error() string { return "planstore: injected write fault" }
 
-// Has implements Backend.
-func (f *Faulty) Has(name string) bool { return f.inner.Has(name) }
-
 // Remove implements Backend.
 func (f *Faulty) Remove(name string) error { return f.inner.Remove(name) }
-
-// List implements Backend.
-func (f *Faulty) List() ([]string, error) { return f.inner.List() }

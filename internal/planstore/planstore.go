@@ -1,8 +1,9 @@
 // Package planstore is the persistent, content-addressed plan store:
-// it serializes core.Plan to a versioned binary format and caches the
-// artifacts in two tiers — an in-memory LRU of decoded plans above a
-// pluggable storage Backend of encoded blobs (a local directory
-// first; the interface leaves room for shared or remote stores).
+// it serializes core.Plan to a versioned binary format and keeps the
+// encoded artifacts in a storage Backend (a local directory). It holds
+// no decoded plans of its own: every Get reads, checks and decodes its
+// entry, and the caller — the serving runtime's plan cache — keeps the
+// result in memory.
 //
 // Entries are addressed by the sha256 of everything the offline
 // compiler consumes — network, mode, bits, δ, seed — plus CodeVersion,
@@ -16,10 +17,9 @@
 // rebuilt from indices), so Execute over a loaded plan is
 // byte-identical to Execute over a freshly compiled one. Plans loaded
 // through one Store share one decoded Network per distinct network
-// (see Store). Corrupt,
-// truncated or stale entries are counted, swept and treated as cache
-// misses — the store degrades to "compile again", never to an error
-// on the serving path.
+// (see Store). Corrupt, truncated or stale entries are counted, swept
+// and treated as cache misses — the store degrades to "compile again",
+// never to an error on the serving path.
 package planstore
 
 import (
@@ -33,11 +33,6 @@ import (
 	"aim/internal/core"
 	"aim/internal/model"
 )
-
-// DefaultMemoryBudget bounds the in-memory tier: roomy enough to hold
-// every plan of the evaluation zoo decoded at once, small enough that
-// a fleet replica's memory stays flat under key churn.
-const DefaultMemoryBudget = 256 << 20
 
 // Key identifies one compiled plan: exactly the inputs the offline
 // compile phase consumes (the serving runtime's cache key), never a
@@ -73,9 +68,9 @@ func (k Key) Hash() string {
 
 // Stats counts the store's traffic since creation.
 type Stats struct {
-	// MemHits answered from the decoded LRU tier; DiskHits answered by
-	// reading and decoding a backend entry; Misses found nothing.
-	MemHits, DiskHits, Misses int64
+	// DiskHits answered by reading and decoding a backend entry;
+	// Misses found nothing.
+	DiskHits, Misses int64
 	// Stale counts entries rejected for a format/code-version
 	// mismatch, Corrupt those failing structural or integrity checks;
 	// both are served as misses and removed from the backend.
@@ -86,13 +81,13 @@ type Stats struct {
 	Saves, SaveErrors int64
 }
 
-// Store is the two-tier plan cache: Get checks the in-memory LRU, then
-// the backend (read, integrity-check, decode, promote to memory), and
-// reports a miss otherwise; Put encodes and writes through both tiers.
-// All methods are safe for concurrent use. The store intentionally has
-// no compile-stampede control: that lives with the caller (the serving
-// runtime's singleflight cache), so non-server users pay nothing for
-// it.
+// Store is the plan store: Get reads an entry from the backend,
+// integrity-checks and decodes it, and reports a miss otherwise; Put
+// encodes a plan and writes it to the backend. All methods are safe
+// for concurrent use. The store intentionally keeps no decoded plans
+// and has no compile-stampede control: both live with the caller (the
+// serving runtime's singleflight cache), which asks the store at most
+// once per key.
 //
 // Plans loaded from one store may share their Network: the store keeps
 // one decoded *model.Network per distinct encoded network, and every
@@ -104,20 +99,18 @@ type Stats struct {
 // bounds, so it is never evicted.
 type Store struct {
 	backend Backend
-	mem     *lru
 	nets    netTable
 	stats   struct {
-		memHits, diskHits, misses atomic.Int64
-		stale, corrupt            atomic.Int64
-		saves, saveErrors         atomic.Int64
+		diskHits, misses  atomic.Int64
+		stale, corrupt    atomic.Int64
+		saves, saveErrors atomic.Int64
 	}
 }
 
-// Open opens a plan store over a local directory backend with the
-// default memory budget. Leftover temp files from a writer that died
-// between temp-write and rename are swept here — at startup the store
-// is quiescent, so anything matching the temp pattern is an orphan,
-// never a live write. The sweep is best-effort: a failure to remove an
+// Open opens a plan store over a local directory backend. Leftover
+// temp files from a writer that died between temp-write and rename are
+// swept here — at startup the store is quiescent, so anything matching
+// the temp pattern is an orphan, never a live write. The sweep is best-effort: a failure to remove an
 // orphan must not keep a serving replica from starting.
 func Open(dir string) (*Store, error) {
 	b, err := OpenDir(dir)
@@ -125,25 +118,20 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	_, _ = b.SweepOrphans()
-	return New(b, 0), nil
+	return New(b), nil
 }
 
-// New builds a store over an arbitrary backend. memoryBudget bounds
-// the decoded LRU tier in bytes (0 = DefaultMemoryBudget).
-func New(b Backend, memoryBudget int64) *Store {
-	return &Store{backend: b, mem: newLRU(memoryBudget)}
+// New builds a store over an arbitrary backend.
+func New(b Backend) *Store {
+	return &Store{backend: b}
 }
 
-// Get returns the stored plan for k, reporting which tier answered.
-// A false return means "not stored" for any reason — absent, stale or
-// corrupt — and the caller should compile; an entry that failed
-// validation has already been removed so it is not re-read forever.
+// Get reads, checks and decodes the stored plan for k. A false return
+// means "not stored" for any reason — absent, stale or corrupt — and
+// the caller should compile; an entry that failed validation has
+// already been removed so it is not re-read forever.
 func (s *Store) Get(k Key) (*core.Plan, bool) {
 	h := k.Hash()
-	if p, ok := s.mem.get(h); ok {
-		s.stats.memHits.Add(1)
-		return p, true
-	}
 	data, err := s.backend.Load(h)
 	if err != nil {
 		s.stats.misses.Add(1)
@@ -162,12 +150,11 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	s.mem.add(h, p)
 	s.stats.diskHits.Add(1)
 	return p, true
 }
 
-// Put encodes the plan and writes it through both tiers. An encode
+// Put encodes the plan and writes it to the backend. An encode
 // failure is returned (the plan is inconsistent — a programming
 // error); a backend write failure is only counted, because the caller
 // holds a perfectly good in-memory plan and serving must not fail on a
@@ -177,9 +164,7 @@ func (s *Store) Put(k Key, p *core.Plan) error {
 	if err != nil {
 		return err
 	}
-	h := k.Hash()
-	s.mem.add(h, p)
-	if err := s.backend.Store(h, data); err != nil {
+	if err := s.backend.Store(k.Hash(), data); err != nil {
 		s.stats.saveErrors.Add(1)
 		return nil
 	}
@@ -190,7 +175,6 @@ func (s *Store) Put(k Key, p *core.Plan) error {
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		MemHits:    s.stats.memHits.Load(),
 		DiskHits:   s.stats.diskHits.Load(),
 		Misses:     s.stats.misses.Load(),
 		Stale:      s.stats.stale.Load(),

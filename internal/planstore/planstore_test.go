@@ -168,7 +168,7 @@ func TestStoreCorruptEntryFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh store (no memory tier to answer from) must miss.
+	// A fresh store must miss.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -220,14 +220,15 @@ func TestStoreStaleVersionFallsBack(t *testing.T) {
 	if st := s.Stats(); st.Stale != 1 {
 		t.Fatalf("stats = %+v, want Stale=1", st)
 	}
-	if s.backend.Has(h) {
-		t.Fatal("stale entry was not swept")
+	if _, err := s.backend.Load(h); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("stale entry was not swept: Load err = %v", err)
 	}
 }
 
-// TestStoreTwoTierPromotion: a disk hit promotes the decoded plan into
-// the memory tier, so the second Get is a memory hit.
-func TestStoreTwoTierPromotion(t *testing.T) {
+// TestStoreGetDecodesEveryTime: the store keeps no decoded plans, so
+// each Get of a key reads and decodes its backend entry again — the
+// serving cache above it asks once per key and holds the result.
+func TestStoreGetDecodesEveryTime(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -238,83 +239,24 @@ func TestStoreTwoTierPromotion(t *testing.T) {
 	if err := s.Put(k, plan); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a restart: same backend, cold memory tier.
+	// Simulate a restart: a second store over the same directory.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Get(k); !ok {
+	p1, ok := s2.Get(k)
+	if !ok {
 		t.Fatal("warm disk cache missed after restart")
 	}
 	p2, ok := s2.Get(k)
 	if !ok {
 		t.Fatal("second Get missed")
 	}
-	st := s2.Stats()
-	if st.DiskHits != 1 || st.MemHits != 1 {
-		t.Fatalf("stats = %+v, want DiskHits=1 MemHits=1", st)
+	if st := s2.Stats(); st.DiskHits != 2 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want DiskHits=2 Misses=0", st)
 	}
-	// The memory tier returns the same decoded instance, not a re-read.
-	if p3, _ := s2.Get(k); p3 != p2 {
-		t.Fatal("memory tier did not return the cached instance")
-	}
-}
-
-// TestLRUEviction: the memory tier evicts least-recently-used entries
-// once over budget, and evicted plans are still served from disk.
-func TestLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(b, 1) // 1-byte budget: at most one resident plan
-	plan := compileTestPlan(t, "resnet18", 1)
-	k1, k2 := testKey("resnet18", 1), testKey("resnet18", 2)
-	if err := s.Put(k1, plan); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(k2, plan); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.mem.len(); n != 1 {
-		t.Fatalf("memory tier holds %d plans under a 1-byte budget, want 1", n)
-	}
-	if _, ok := s.Get(k1); !ok {
-		t.Fatal("evicted plan not served from disk")
-	}
-	if st := s.Stats(); st.DiskHits != 1 {
-		t.Fatalf("stats = %+v, want DiskHits=1", st)
-	}
-}
-
-// TestLRUChargesDecodedFootprint: the memory budget bounds decoded
-// plans, so a budget of two plans' footprint holds two and evicts the
-// least recently used when a third arrives.
-func TestLRUChargesDecodedFootprint(t *testing.T) {
-	b, err := OpenDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := compileTestPlan(t, "resnet18", 1)
-	s := New(b, 2*footprint(plan))
-	keys := []Key{testKey("resnet18", 1), testKey("resnet18", 2), testKey("resnet18", 3)}
-	for _, k := range keys {
-		if err := s.Put(k, plan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.mem.len(); n != 2 {
-		t.Fatalf("memory tier holds %d plans under a two-plan budget, want 2", n)
-	}
-	// The two newest answer from memory before the oldest reloads.
-	for _, k := range []Key{keys[2], keys[1], keys[0]} {
-		if _, ok := s.Get(k); !ok {
-			t.Fatalf("%s not served", k.ID())
-		}
-	}
-	if st := s.Stats(); st.DiskHits != 1 || st.MemHits != 2 {
-		t.Fatalf("stats = %+v, want the oldest plan from disk (DiskHits=1 MemHits=2)", st)
+	if p1 == p2 {
+		t.Fatal("second Get returned the first Get's instance, not a fresh decode")
 	}
 }
 
@@ -418,9 +360,6 @@ func TestDirBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range names {
-		if !d.Has(n) {
-			t.Fatalf("Has(%s) = false", n)
-		}
 		data, err := d.Load(n)
 		if err != nil || len(data) != 1 || data[0] != byte(i) {
 			t.Fatalf("Load(%s) = %v, %v", n, data, err)
@@ -436,8 +375,8 @@ func TestDirBackend(t *testing.T) {
 	if err := d.Remove("aa22"); err != nil {
 		t.Fatal(err)
 	}
-	if d.Has("aa22") {
-		t.Fatal("Has after Remove")
+	if _, err := d.Load("aa22"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Load after Remove: err = %v, want ErrNotFound", err)
 	}
 }
 

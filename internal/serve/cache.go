@@ -17,30 +17,6 @@ import (
 	"aim/internal/planstore"
 )
 
-// Key identifies one compiled plan: exactly the inputs the offline
-// phase consumes. Runtime knobs (β, worker counts, warm state) are
-// deliberately absent — they vary per request without recompiling.
-type Key struct {
-	// Network is the zoo workload name.
-	Network string
-	// Mode is the operating policy (its string form keeps the key
-	// printable and comparable).
-	Mode string
-	// Bits is the quantization width.
-	Bits int
-	// Delta is the canonical WDS δ (0 = disabled).
-	Delta int
-	// Seed drives every stochastic component of the compilation.
-	Seed int64
-}
-
-// storeKey maps the cache key onto the persistent store's key — the
-// same five fields; the store adds the code-version generation to the
-// content hash on its side.
-func (k Key) storeKey() planstore.Key {
-	return planstore.Key{Network: k.Network, Mode: k.Mode, Bits: k.Bits, Delta: k.Delta, Seed: k.Seed}
-}
-
 // entry is one singleflight cache slot.
 type entry struct {
 	once sync.Once
@@ -54,35 +30,35 @@ type entry struct {
 // instead of stampeding the compiler. Failed compilations (unknown
 // network) are cached too — the error is deterministic.
 //
-// With a persistent store attached (see NewCacheWithStore) the cache
-// is the top of a three-level hierarchy: the singleflight map, then
-// the store's decoded-plan LRU, then its on-disk backend. The store is
-// consulted inside the singleflight slot, so a fleet replica
-// restarting against a warm disk pays one read+decode per key instead
-// of one compile — and a corrupt or stale entry silently degrades to
-// the compile path.
+// Keys are planstore.Key: exactly the inputs the offline phase
+// consumes. Runtime knobs (β, fidelity, worker counts, warm state) are
+// deliberately absent — they vary per request without recompiling.
+//
+// The map is the only place plans are held in memory. With a
+// persistent store attached it sits above the store's on-disk backend:
+// the store is consulted once per key, inside the singleflight slot,
+// so a fleet replica restarting against a warm disk pays one
+// read+decode per key instead of one compile — and a corrupt or stale
+// entry silently degrades to the compile path.
 type Cache struct {
 	mu       sync.Mutex
-	entries  map[Key]*entry
+	entries  map[planstore.Key]*entry
 	store    *planstore.Store
 	compiles atomic.Int64
 	hits     atomic.Int64
 	diskHits atomic.Int64
 }
 
-// NewCache returns an empty cache with no persistence.
-func NewCache() *Cache { return &Cache{entries: make(map[Key]*entry)} }
-
-// NewCacheWithStore returns a cache backed by a persistent plan store
-// (nil store behaves like NewCache).
-func NewCacheWithStore(store *planstore.Store) *Cache {
-	return &Cache{entries: make(map[Key]*entry), store: store}
+// NewCache returns an empty cache backed by a persistent plan store;
+// a nil store means no persistence.
+func NewCache(store *planstore.Store) *Cache {
+	return &Cache{entries: make(map[planstore.Key]*entry), store: store}
 }
 
 // Plan returns the plan for k, invoking compile at most once per key
 // across all callers. hit reports whether the key was already present
 // (compiled, loaded or in flight) when the call arrived.
-func (c *Cache) Plan(k Key, compile func() (*core.Plan, error)) (plan *core.Plan, hit bool, err error) {
+func (c *Cache) Plan(k planstore.Key, compile func() (*core.Plan, error)) (plan *core.Plan, hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if !ok {
@@ -92,7 +68,7 @@ func (c *Cache) Plan(k Key, compile func() (*core.Plan, error)) (plan *core.Plan
 	c.mu.Unlock()
 	e.once.Do(func() {
 		if c.store != nil {
-			if p, ok := c.store.Get(k.storeKey()); ok {
+			if p, ok := c.store.Get(k); ok {
 				c.diskHits.Add(1)
 				e.plan = p
 				return
@@ -105,7 +81,7 @@ func (c *Cache) Plan(k Key, compile func() (*core.Plan, error)) (plan *core.Plan
 			// inconsistent plan, which the compiler cannot produce, and
 			// a write failure is already counted by the store. Serving
 			// proceeds from memory either way.
-			_ = c.store.Put(k.storeKey(), e.plan)
+			_ = c.store.Put(k, e.plan)
 		}
 	})
 	if ok {

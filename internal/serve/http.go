@@ -147,7 +147,9 @@ func (s *Server) Handler() http.Handler {
 // still serves its own load generator — so the shutdown order is
 // Drain, then Close.
 func (s *Server) Drain() {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	s.inflight.Wait()
 }
 
@@ -160,19 +162,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// Register in-flight before the drain check: either this request
-	// sees the gate closed and bails, or Drain waits for it.
+	// Check the gate and register in-flight under drainMu, so every
+	// Add happens before Drain closes the gate: either this request
+	// sees the gate closed and bails, or Drain waits for it — and no
+	// Add ever races Drain's Wait.
+	s.drainMu.Lock()
+	if s.draining.Load() {
+		s.drainMu.Unlock()
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "server draining")
+		return
+	}
 	s.inflight.Add(1)
+	s.drainMu.Unlock()
 	s.httpInflight.Add(1)
 	defer func() {
 		s.httpInflight.Add(-1)
 		s.inflight.Done()
 	}()
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError

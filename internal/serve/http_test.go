@@ -6,9 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +282,54 @@ func TestHTTPGracefulDrain(t *testing.T) {
 	// still answers its own process until Close.
 	if _, err := s.Submit(context.Background(), Request{Network: "resnet18", Mode: vf.LowPower}); err != nil {
 		t.Errorf("in-process Submit after drain: %v", err)
+	}
+}
+
+// TestHTTPDrainUnderConcurrentSubmits: Drain racing a stream of
+// submits must close the gate cleanly — every request answered 400
+// (the body is malformed) or 503 (the gate was closed), and none in
+// flight once Drain returns. sync.WaitGroup forbids an Add from zero
+// that races Wait; a submit path that registers in-flight before
+// checking the gate panics the server here.
+func TestHTTPDrainUnderConcurrentSubmits(t *testing.T) {
+	const rounds, clients = 100, 8
+	for round := 0; round < rounds; round++ {
+		s := newTestServer(t, Options{Workers: 1})
+		h := s.Handler()
+		stop := make(chan struct{})
+		var posted atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rr := post(t, h, `{bad`, nil)
+					if rr.Code != http.StatusBadRequest && rr.Code != http.StatusServiceUnavailable {
+						t.Errorf("round %d: submit = %d, want 400 or 503", round, rr.Code)
+					}
+					posted.Add(1)
+				}
+			}()
+		}
+		for posted.Load() < clients {
+			runtime.Gosched()
+		}
+		s.Drain()
+		if n := s.httpInflight.Load(); n != 0 {
+			t.Errorf("round %d: Drain returned with %d requests in flight", round, n)
+		}
+		close(stop)
+		wg.Wait()
+		if rr := post(t, h, `{bad`, nil); rr.Code != http.StatusServiceUnavailable {
+			t.Errorf("round %d: post-drain submit = %d, want 503", round, rr.Code)
+		}
+		s.Close()
 	}
 }
 

@@ -24,6 +24,10 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "negative workers", opt: Options{Workers: -1}, wantErr: "negative workers"},
 		{name: "negative max batch", opt: Options{MaxBatch: -4}, wantErr: "negative max batch"},
 		{name: "negative queue", opt: Options{Queue: -256}, wantErr: "negative queue depth"},
+		{name: "queue and workers at limit valid", opt: Options{Workers: 1 << 12, Queue: 1 << 20}},
+		{name: "queue past limit", opt: Options{Queue: 1<<20 + 1}, wantErr: "queue depth 1048577 over the limit 1048576"},
+		{name: "workers past limit", opt: Options{Workers: 1<<12 + 1}, wantErr: "workers 4097 over the limit 4096"},
+		{name: "oversized queue", opt: Options{Queue: 1 << 62}, wantErr: "queue depth 4611686018427387904 over the limit"},
 		{name: "negative rate", opt: Options{RatePerClient: -0.5}, wantErr: "negative per-client rate"},
 		{name: "NaN rate", opt: Options{RatePerClient: math.NaN()}, wantErr: "non-finite per-client rate"},
 		{name: "Inf rate", opt: Options{RatePerClient: math.Inf(1)}, wantErr: "non-finite per-client rate"},

@@ -6,6 +6,8 @@ package serve
 // the batches to the execution layer. The layer's other half — the
 // SLO-driven fidelity degradation ladder — lives in ladder.go.
 
+import "aim/internal/planstore"
+
 // former is the admission-queue drain loop.
 func (s *Server) former() {
 	defer s.wg.Done()
@@ -27,7 +29,7 @@ func (s *Server) former() {
 				break drain
 			}
 		}
-		byKey := make(map[Key]*batch)
+		byKey := make(map[planstore.Key]*batch)
 		var order []*batch
 		for _, p := range round {
 			b := byKey[p.key]

@@ -13,9 +13,11 @@
 //	                           warm simulator state
 //
 // A concurrency-safe plan cache keyed by everything the offline
-// compiler consumes sits under the execution layer, so repeated
-// requests for one deployment point amortize the expensive offline
-// phase (LHR proximal tuning, WDS, HR-aware mapping SA) to zero.
+// compiler consumes (planstore.Key) sits under the execution layer, so
+// repeated requests for one deployment point amortize the expensive
+// offline phase (LHR proximal tuning, WDS, HR-aware mapping SA) to
+// zero. It is the only in-memory copy of a plan; with
+// Options.PlanCacheDir set, internal/planstore persists plans below it.
 // Per-request results are identical to a cold one-shot run; the
 // degradation ladder only ever changes *which* fidelity tier serves a
 // request, never the bytes a given tier produces.
@@ -104,14 +106,14 @@ type Request struct {
 // normalize applies defaults, validates the compile-relevant knobs and
 // derives the plan key. The returned Request has canonical fields
 // (Delta is the actual δ, 0 = disabled).
-func (r Request) normalize() (Request, Key, error) {
+func (r Request) normalize() (Request, planstore.Key, error) {
 	// Reject unknown networks at admission: a daemon fed arbitrary
 	// names must not grow one negative plan-cache entry per typo.
 	if !model.ValidName(r.Network) {
-		return r, Key{}, fmt.Errorf("serve: unknown network %q (want one of %v)", r.Network, model.Names())
+		return r, planstore.Key{}, fmt.Errorf("serve: unknown network %q (want one of %v)", r.Network, model.Names())
 	}
 	if r.Mode != vf.Sprint && r.Mode != vf.LowPower {
-		return r, Key{}, fmt.Errorf("serve: unknown mode %d", int(r.Mode))
+		return r, planstore.Key{}, fmt.Errorf("serve: unknown mode %d", int(r.Mode))
 	}
 	if r.Beta <= 0 {
 		r.Beta = 50
@@ -123,20 +125,20 @@ func (r Request) normalize() (Request, Key, error) {
 		r.Bits = 8
 	}
 	if r.Bits < 2 || r.Bits > 16 {
-		return r, Key{}, fmt.Errorf("serve: bits %d out of range [2,16]", r.Bits)
+		return r, planstore.Key{}, fmt.Errorf("serve: bits %d out of range [2,16]", r.Bits)
 	}
 	if r.Parallel == 0 {
 		r.Parallel = 1
 	}
 	if err := r.runtime().Validate(); err != nil {
-		return r, Key{}, fmt.Errorf("serve: %w", err)
+		return r, planstore.Key{}, fmt.Errorf("serve: %w", err)
 	}
 	d, err := core.ResolveWDSDelta(r.Delta)
 	if err != nil {
-		return r, Key{}, fmt.Errorf("serve: %w", err)
+		return r, planstore.Key{}, fmt.Errorf("serve: %w", err)
 	}
 	r.Delta = d
-	key := Key{Network: r.Network, Mode: r.Mode.String(), Bits: r.Bits, Delta: d, Seed: r.Seed}
+	key := planstore.Key{Network: r.Network, Mode: r.Mode.String(), Bits: r.Bits, Delta: d, Seed: r.Seed}
 	return r, key, nil
 }
 
@@ -200,15 +202,15 @@ type Response struct {
 // values (negative depths, rates or targets) are rejected by Validate
 // at construction — never silently clamped.
 type Options struct {
-	// Workers is the executor pool size (default GOMAXPROCS): how many
-	// plan batches run concurrently.
+	// Workers is the executor pool size (default GOMAXPROCS, at most
+	// 4096): how many plan batches run concurrently.
 	Workers int
 	// MaxBatch bounds how many queued requests the batch former drains
 	// into one admission round (default 64).
 	MaxBatch int
-	// Queue is the admission queue depth (default 256). When the queue
-	// is full, Submit sheds the request with an *OverloadError instead
-	// of queueing unbounded latency.
+	// Queue is the admission queue depth (default 256, at most
+	// 1<<20). When the queue is full, Submit sheds the request with an
+	// *OverloadError instead of queueing unbounded latency.
 	Queue int
 	// PlanCacheDir, when non-empty, backs the plan cache with a
 	// persistent content-addressed store at that directory
@@ -241,18 +243,34 @@ type Options struct {
 	planStore *planstore.Store
 }
 
+// maxWorkers and maxQueue bound the executor pool and the admission
+// queue: New starts one goroutine per worker and allocates two
+// channels of the queue depth, so an unbounded value would exhaust
+// memory (or panic in make) instead of failing validation.
+const (
+	maxWorkers = 1 << 12
+	maxQueue   = 1 << 20
+)
+
 // Validate rejects option values that cannot mean anything: negative
-// pool sizes, queue depths, rate limits or SLO targets, and a burst
-// without a rate. Zero values are valid and select defaults.
+// pool sizes, queue depths, rate limits or SLO targets, pools or
+// queues past their fixed bounds, and a burst without a rate. Zero
+// values are valid and select defaults.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("serve: negative workers %d (0 = one per CPU)", o.Workers)
+	}
+	if o.Workers > maxWorkers {
+		return fmt.Errorf("serve: workers %d over the limit %d", o.Workers, maxWorkers)
 	}
 	if o.MaxBatch < 0 {
 		return fmt.Errorf("serve: negative max batch %d (0 = default 64)", o.MaxBatch)
 	}
 	if o.Queue < 0 {
 		return fmt.Errorf("serve: negative queue depth %d (0 = default 256)", o.Queue)
+	}
+	if o.Queue > maxQueue {
+		return fmt.Errorf("serve: queue depth %d over the limit %d", o.Queue, maxQueue)
 	}
 	if o.RatePerClient < 0 {
 		return fmt.Errorf("serve: negative per-client rate %g (0 = unlimited)", o.RatePerClient)
@@ -275,7 +293,7 @@ func (o Options) Validate() error {
 // pending is one admitted request waiting for its answer.
 type pending struct {
 	req   Request
-	key   Key
+	key   planstore.Key
 	reply chan answer
 	enq   time.Time
 }
@@ -287,7 +305,7 @@ type answer struct {
 
 // batch is one plan's worth of an admission round.
 type batch struct {
-	key  Key
+	key  planstore.Key
 	reqs []*pending
 }
 
@@ -312,8 +330,10 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	// Transport state: the drain gate and the in-flight HTTP request
-	// tracker (see http.go). httpInflight mirrors the WaitGroup as an
+	// tracker (see http.go). draining is set, and inflight grown, only
+	// under drainMu. httpInflight mirrors the WaitGroup as an
 	// observable count.
+	drainMu      sync.Mutex
 	draining     atomic.Bool
 	inflight     sync.WaitGroup
 	httpInflight atomic.Int64
@@ -365,20 +385,16 @@ func New(opt Options) (*Server, error) {
 	if opt.Queue == 0 {
 		opt.Queue = 256
 	}
-	cache := NewCache()
-	switch {
-	case opt.planStore != nil:
-		cache = NewCacheWithStore(opt.planStore)
-	case opt.PlanCacheDir != "":
-		store, err := planstore.Open(opt.PlanCacheDir)
-		if err != nil {
+	store := opt.planStore
+	if store == nil && opt.PlanCacheDir != "" {
+		var err error
+		if store, err = planstore.Open(opt.PlanCacheDir); err != nil {
 			return nil, err
 		}
-		cache = NewCacheWithStore(store)
 	}
 	s := &Server{
 		opt:     opt,
-		cache:   cache,
+		cache:   NewCache(store),
 		warm:    sim.NewWarmState(),
 		ladder:  newLadder(opt.TargetP95),
 		admit:   make(chan *pending, opt.Queue),
@@ -433,7 +449,7 @@ type Stats struct {
 	// windows answered from a held field, and total V-cycles.
 	// SpatialSaturated counts solves that exhausted their iteration
 	// budget without converging — nonzero means the tier is quietly
-	// losing accuracy and aimcheck's bench validation flags it.
+	// losing accuracy (the internal/sim spatial tests fail on it).
 	SpatialSolves, SpatialSkips, SpatialVCycles, SpatialSaturated int64
 }
 

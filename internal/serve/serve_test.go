@@ -15,6 +15,7 @@ import (
 
 	"aim/internal/core"
 	"aim/internal/model"
+	"aim/internal/planstore"
 	"aim/internal/sim"
 	"aim/internal/vf"
 )
@@ -35,7 +36,7 @@ func newTestServer(tb testing.TB, opt Options) *Server {
 }
 
 func TestCacheCompileOncePerKey(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	var calls atomic.Int64
 	compile := func() (*core.Plan, error) {
 		calls.Add(1)
@@ -49,7 +50,7 @@ func TestCacheCompileOncePerKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := c.Plan(Key{Network: "resnet18", Mode: "low-power", Bits: 8, Delta: 16, Seed: 1}, compile)
+			p, _, err := c.Plan(planstore.Key{Network: "resnet18", Mode: "low-power", Bits: 8, Delta: 16, Seed: 1}, compile)
 			if err != nil {
 				t.Error(err)
 			}
@@ -71,10 +72,10 @@ func TestCacheCompileOncePerKey(t *testing.T) {
 }
 
 func TestCacheDistinctKeysCompileSeparately(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	var calls atomic.Int64
 	compile := func() (*core.Plan, error) { calls.Add(1); return &core.Plan{}, nil }
-	keys := []Key{
+	keys := []planstore.Key{
 		{Network: "resnet18", Mode: "low-power", Bits: 8, Delta: 16, Seed: 1},
 		{Network: "resnet18", Mode: "sprint", Bits: 8, Delta: 16, Seed: 1},
 		{Network: "resnet18", Mode: "low-power", Bits: 8, Delta: 0, Seed: 1},
@@ -155,7 +156,7 @@ func TestRequestNormalize(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: normalized %+v, want %+v", c.name, got, c.want)
 		}
-		wantKey := Key{Network: c.want.Network, Mode: c.want.Mode.String(), Bits: c.want.Bits, Delta: c.want.Delta, Seed: c.want.Seed}
+		wantKey := planstore.Key{Network: c.want.Network, Mode: c.want.Mode.String(), Bits: c.want.Bits, Delta: c.want.Delta, Seed: c.want.Seed}
 		if key != wantKey {
 			t.Errorf("%s: key %+v, want %+v", c.name, key, wantKey)
 		}

@@ -215,7 +215,7 @@ func Run(c *compiler.Compiled, cfg pim.Config, opt Options) Result {
 	if opt.CyclesPerWave <= 0 {
 		opt.CyclesPerWave = 400
 	}
-	m := modelForKind(cfg.Kind)
+	m := irdrop.ModelFor(cfg.Kind)
 	table := vf.NewTable(m)
 	power := vf.DefaultPowerModel()
 
@@ -367,11 +367,4 @@ func (a *aggregate) result(m irdrop.Model) Result {
 		res.DelayFactor = 1
 	}
 	return res
-}
-
-func modelForKind(k pim.MacroKind) irdrop.Model {
-	if k == pim.APIM {
-		return irdrop.APIMModel()
-	}
-	return irdrop.DPIMModel()
 }

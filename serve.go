@@ -35,13 +35,13 @@ type Server struct {
 
 // ServerOptions configures a Server. Zero values select defaults.
 type ServerOptions struct {
-	// Workers is the executor pool size (default GOMAXPROCS): how many
-	// plan batches run concurrently.
+	// Workers is the executor pool size (default GOMAXPROCS, at most
+	// 4096): how many plan batches run concurrently.
 	Workers int
 	// MaxBatch bounds how many queued requests one admission round
 	// drains (default 64).
 	MaxBatch int
-	// Queue is the admission queue depth (default 256).
+	// Queue is the admission queue depth (default 256, at most 1<<20).
 	Queue int
 	// PlanCacheDir, when non-empty, persists compiled plans to a
 	// content-addressed store at that directory and loads matching
