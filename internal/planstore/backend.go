@@ -16,7 +16,7 @@ var ErrNotFound = errors.New("planstore: entry not found")
 
 // Backend is the storage layer under the plan store: a flat namespace
 // of immutable blobs addressed by their content-hash name. It declares
-// exactly the operations Store calls.
+// only the operations a *Store calls.
 //
 // Entries are content-addressed and therefore immutable: a Store never
 // rewrites a name with different bytes, so backends may cache
