@@ -93,9 +93,10 @@ type Config struct {
 	Seed int64
 	// Parallel bounds the simulator's wave-sharding worker pool:
 	// 0 uses one worker per CPU (a Server treats 0 as serial: it gets
-	// its parallelism from concurrent requests), 1 forces the serial
-	// reference path, N > 1 uses N workers. Results are bit-identical
-	// for any value — the knob only trades wall-clock time for cores.
+	// its parallelism from concurrent requests), 1 runs every wave on
+	// the calling goroutine, N > 1 uses N workers. Results are
+	// bit-identical for any value — the knob only trades wall-clock
+	// time for cores.
 	// Negative values are rejected.
 	Parallel int
 	// Fidelity selects the simulator's modelling tier (default

@@ -113,13 +113,6 @@ func HammingTable(q int) []int {
 	return t
 }
 
-// HammingOfInt returns the Hamming weight of integer value v at width q,
-// saturating v into range first. Useful when callers hold arbitrary
-// int64 arithmetic results.
-func HammingOfInt(v int64, q int) int {
-	return Hamming(Clamp(v, q), q)
-}
-
 // InterpHR returns the linearly interpolated Hamming rate of a
 // floating-point value x located between its two neighbouring integers
 // at width q (paper Eq. 5, used by the LHR regularizer), together with

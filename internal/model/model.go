@@ -88,10 +88,6 @@ type Layer struct {
 // Elems returns the logical number of weights.
 func (l *Layer) Elems() int { return l.Rows * l.Cols }
 
-// MACs returns the multiply-accumulate count for one inference token /
-// image position (logical elements; used for performance weighting).
-func (l *Layer) MACs() int64 { return int64(l.Rows) * int64(l.Cols) }
-
 // Profile carries the per-model weight-distribution and tuning
 // parameters (see DESIGN.md "Substitutions").
 type Profile struct {

@@ -108,17 +108,6 @@ func (g *Grid) DropMap(v []float64) []float64 {
 	return out
 }
 
-// MaxDrop returns the worst IR-drop in the map.
-func MaxDrop(drop []float64) float64 {
-	m := 0.0
-	for _, d := range drop {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // MeanDropIn averages the drop over the cells a region covers.
 func MeanDropIn(drop []float64, w int, r Rect) float64 {
 	sum, n := 0.0, 0

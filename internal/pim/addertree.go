@@ -36,13 +36,10 @@ func NewAdderTree(leaves, bits int) *AdderTree {
 	return t
 }
 
-// Leaves returns the (rounded-up) leaf count.
-func (t *AdderTree) Leaves() int { return t.leaves }
-
 // Reduce accumulates one cycle's partial products through the tree,
 // returning the root sum and the number of register bits that toggled
-// versus the previous cycle. Inputs shorter than Leaves are
-// zero-padded.
+// versus the previous cycle. Inputs shorter than the (rounded-up)
+// leaf count are zero-padded.
 func (t *AdderTree) Reduce(products []int64) (sum int64, toggles int) {
 	if len(products) > t.leaves {
 		panic("pim: too many products for tree")

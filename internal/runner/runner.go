@@ -40,8 +40,8 @@ func Workers(n, jobs int) int {
 // after all in-flight work has drained. Cancellation of ctx stops new
 // indices from being dispatched and is reported as ctx.Err() unless an
 // fn error takes precedence. workers <= 0 means GOMAXPROCS. With
-// workers == 1 the indices run on the calling goroutine in order —
-// the serial reference path, with zero scheduling involved.
+// workers == 1 the indices run on the calling goroutine in order,
+// with zero scheduling involved.
 func Do(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -153,9 +153,6 @@ func (s *Server) Drain() {
 	s.inflight.Wait()
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -30,10 +30,10 @@ type Runtime struct {
 	// 50, and Run treats β <= 0 as 50.
 	Beta int
 	// Parallel bounds the worker pool that shards the wave schedule:
-	// 0 means one worker per CPU (GOMAXPROCS), 1 forces the serial
-	// reference path, N > 1 uses N workers. Every wave draws from its
-	// own xrand shard stream, so the result is bit-identical for any
-	// worker count — parallelism is purely a wall-clock knob.
+	// 0 means one worker per CPU (GOMAXPROCS), 1 runs every wave on
+	// the calling goroutine, N > 1 uses N workers. Every wave draws
+	// from its own xrand shard stream, so the result is bit-identical
+	// for any worker count — parallelism is purely a wall-clock knob.
 	Parallel int
 	// Fidelity selects the modelling tier: AnalyticToggles (default,
 	// rtog = flip-intensity × HR, scalar Eq. 2 drops), PackedToggles
@@ -109,15 +109,10 @@ type Options struct {
 	Seed int64
 	// TraceWave, when >= 0, records per-cycle traces for that wave.
 	TraceWave int
-	// Warm, when non-nil, pools the per-worker scratch across Run calls
-	// (a serving runtime executing many requests). Ignored on the
-	// serial reference path; results are bit-identical either way.
+	// Warm, when non-nil, pools the per-chunk scratch across Run calls
+	// (a serving runtime executing many requests) at every worker
+	// count; results are bit-identical either way.
 	Warm *WarmState
-	// bytesReference forces the PackedToggles engine onto the legacy
-	// one-byte-per-bit scalar path. Equivalence tests use it to prove
-	// the packed word-wise pipeline bit-identical; it is not a user
-	// knob.
-	bytesReference bool
 }
 
 // DefaultOptions returns the reference configuration for a workload
@@ -201,13 +196,10 @@ const DefaultSpatialWindow = 4
 // every field of the Result is bit-identical no matter how many
 // workers execute the shards.
 //
-// Parallel == 1 runs the serial reference path — one fresh allocation
-// set per wave, the historical behaviour equivalence tests pin
-// against. Any other setting runs the production path: waves are
-// grouped into contiguous chunks (a couple per worker, so stragglers
-// still balance) and each chunk reuses one waveScratch across its
-// waves, cutting the synthetic-bank allocation churn without touching
-// a single RNG draw.
+// Waves are grouped into contiguous chunks — one for a single worker,
+// else a couple per worker so stragglers still balance — and each
+// chunk reuses one waveScratch across its waves, cutting the
+// synthetic-bank allocation churn without touching a single RNG draw.
 func Run(c *compiler.Compiled, cfg pim.Config, opt Options) Result {
 	if opt.Beta <= 0 {
 		opt.Beta = 50
@@ -219,45 +211,25 @@ func Run(c *compiler.Compiled, cfg pim.Config, opt Options) Result {
 	table := vf.NewTable(m)
 	power := vf.DefaultPowerModel()
 
-	wave := func(wi int, scratch *waveScratch) waveResult {
-		rng := scratch.shardRNG(opt.Seed, "sim/"+c.Net.Name, wi)
-		return runWave(c.Waves[wi], cfg, m, table, power, opt, rng, wi == opt.TraceWave, scratch)
+	workers := runner.Workers(opt.Parallel, len(c.Waves))
+	// One worker runs the schedule as one chunk (none when it is
+	// empty); more take two chunks each: enough slack to rebalance
+	// uneven waves, coarse enough that scratch reuse still pays.
+	chunks := min(1, len(c.Waves))
+	if workers > 1 {
+		chunks = min(workers*2, len(c.Waves))
 	}
-	var waves []waveResult
-	if workers := runner.Workers(opt.Parallel, len(c.Waves)); opt.Parallel == 1 || len(c.Waves) == 0 {
-		// Serial path: a warm pool still supplies one reusable scratch
-		// (a serving runtime's default is Parallel == 1); without one
-		// this stays the historical allocate-per-wave reference.
-		var scratch *waveScratch
-		if opt.Warm != nil {
-			scratch = opt.Warm.get()
-			defer opt.Warm.put(scratch)
+	waves := make([]waveResult, len(c.Waves))
+	runner.Do(context.Background(), chunks, workers, func(ci int) error {
+		scratch := opt.Warm.get()
+		defer opt.Warm.put(scratch)
+		lo, hi := ci*len(c.Waves)/chunks, (ci+1)*len(c.Waves)/chunks
+		for wi := lo; wi < hi; wi++ {
+			rng := scratch.shardRNG(opt.Seed, "sim/"+c.Net.Name, wi)
+			waves[wi] = runWave(c.Waves[wi], cfg, m, table, power, opt, rng, wi == opt.TraceWave, scratch)
 		}
-		waves = runner.Collect(len(c.Waves), 1, func(wi int) waveResult {
-			return wave(wi, scratch)
-		})
-	} else {
-		chunks := workers
-		if workers > 1 {
-			// Two chunks per worker: enough slack to rebalance uneven
-			// waves, coarse enough that scratch reuse still pays.
-			chunks = workers * 2
-			if chunks > len(c.Waves) {
-				chunks = len(c.Waves)
-			}
-		}
-		waves = make([]waveResult, len(c.Waves))
-		runner.Do(context.Background(), chunks, workers, func(ci int) error {
-			scratch := opt.Warm.get()
-			defer opt.Warm.put(scratch)
-			lo := ci * len(c.Waves) / chunks
-			hi := (ci + 1) * len(c.Waves) / chunks
-			for wi := lo; wi < hi; wi++ {
-				waves[wi] = wave(wi, scratch)
-			}
-			return nil
-		})
-	}
+		return nil
+	})
 
 	var agg aggregate
 	for wi, res := range waves {
@@ -290,23 +262,11 @@ type waveResult struct {
 	voltageTrace    []float64
 }
 
+// aggregate folds the Rounds-weighted wave results of a run; the one
+// field it adds is the cycle weight of the TOPS average.
 type aggregate struct {
-	cycles, useful  int64
-	failures        int
-	powerSum        float64
-	macroCycles     float64
-	topsSum         float64
-	topsWeight      float64
-	worstDrop       float64
-	worstWeightDrop float64
-	dropSum         float64
-	dropCount       float64
-	levelRtogSum    float64
-	levelCount      float64
-	solve           irdrop.SolveStats
-	dropTrace       []float64
-	currentTrace    []float64
-	voltageTrace    []float64
+	waveResult
+	topsWeight float64
 }
 
 func (a *aggregate) add(r waveResult, weight float64) {

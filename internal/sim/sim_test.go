@@ -243,6 +243,25 @@ func TestWarmStateMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEmptySchedule: a compiled workload with no waves runs to the
+// neutral Result at any worker count, with or without a warm pool —
+// no cycles, no slowdown, full mitigation, no traces.
+func TestEmptySchedule(t *testing.T) {
+	empty := &compiler.Compiled{Net: &model.Network{Name: "empty"}}
+	for _, workers := range []int{0, 1, 3} {
+		for _, warm := range []*WarmState{nil, NewWarmState()} {
+			opt := DefaultOptions(false, vf.LowPower)
+			opt.Parallel = workers
+			opt.Warm = warm
+			res := Run(empty, pim.DefaultConfig(), opt)
+			if res.Cycles != 0 || res.DelayFactor != 1 || res.Mitigation != 1 ||
+				res.DropTraceMV != nil || res.CurrentTrace != nil || res.VoltageTrace != nil {
+				t.Errorf("Parallel=%d warm=%v: empty schedule gave %+v", workers, warm != nil, res)
+			}
+		}
+	}
+}
+
 // TestRuntimeValidate: the one check of the Execute-side knobs rejects
 // exactly a negative worker count, an unknown tier, a negative window
 // and a negative or non-finite skip threshold; zero values, any β and

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"aim/internal/irdrop"
 	"aim/internal/pim"
 	"aim/internal/xrand"
 )
@@ -75,16 +74,13 @@ func (f Fidelity) String() string {
 
 // groupToggles is one macro group's PackedToggles engine: the shared
 // packed input-line toggles plus a synthetic bank per occupied task.
-// With bytes non-nil it runs the legacy one-byte-per-bit reference
-// path instead — drawing the identical RNG sequence — which is how the
-// equivalence tests prove the packed pipeline bit-identical.
+// The tests hold pim's one-byte-per-bit Rtog as its cycle-by-cycle
+// reference (TestGroupTogglesMatchesBytesReference).
 type groupToggles struct {
 	banks     []*pim.Bank // parallel to groupRun.occupied
 	words     []uint64
-	bytes     []uint8
 	cells     int
 	totalBits int
-	worstRtog float64
 	worstOnes int
 }
 
@@ -92,17 +88,15 @@ type groupToggles struct {
 // occupied task, with every stored weight bit drawn Bernoulli(HR) so
 // the bank's Hamming rate matches the task's HR in expectation — the
 // microarchitectural analogue of the analytic rtog = p·HR model.
-// A non-nil scratch reuses a chunk worker's pooled buffers; the RNG
-// draw order is identical either way, so the engine's bits are too.
-func newGroupToggles(cfg pim.Config, taskHRs []float64, rng *xrand.RNG, useBytes bool, scratch *waveScratch) *groupToggles {
+// The engine lives in the chunk worker's scratch; reusing pooled
+// buffers never moves an RNG draw, so the engine's bits are those of a
+// fresh build.
+func newGroupToggles(cfg pim.Config, taskHRs []float64, rng *xrand.RNG, scratch *waveScratch) *groupToggles {
 	n, q := cfg.CellsPerBank, cfg.WeightBits
 	gt := scratch.toggles()
 	gt.cells = n
 	gt.totalBits = n * q
 	gt.words = scratch.wordBuf(n)
-	if useBytes {
-		gt.bytes = scratch.byteBuf(n)
-	}
 	codes, bits := scratch.codeBuf(n), scratch.codeBits(n*q)
 	for _, hr := range taskHRs {
 		drawCodes(codes, q, hr, rng, bits)
@@ -139,30 +133,16 @@ func valueOfCode(code uint32, q int) int32 {
 }
 
 // next draws the group's shared input-line toggles for one cycle at
-// flip intensity p and resets the cycle's worst-task accounting. The
-// per-cell draws happen in cell order on both paths, so packed and
-// byte-reference runs consume the same RNG stream.
+// flip intensity p, one draw per cell in cell order, and resets the
+// cycle's worst-task accounting.
 func (gt *groupToggles) next(p float64, rng *xrand.RNG) {
 	rng.FillBernoulli(gt.words, gt.cells, p)
-	if gt.bytes != nil {
-		for k := range gt.bytes {
-			gt.bytes[k] = uint8(gt.words[k/64] >> uint(k%64) & 1)
-		}
-	}
-	gt.worstRtog = 0
 	gt.worstOnes = 0
 }
 
 // rtog returns occupied-task i's Rtog against this cycle's shared
 // toggles, tracking the group's worst task for the drop estimate.
 func (gt *groupToggles) rtog(i int) float64 {
-	if gt.bytes != nil {
-		r := gt.banks[i].RtogCycleBytes(gt.bytes)
-		if r > gt.worstRtog {
-			gt.worstRtog = r
-		}
-		return r
-	}
 	ones := gt.banks[i].RtogCounts(gt.words)
 	if ones > gt.worstOnes {
 		gt.worstOnes = ones
@@ -171,23 +151,10 @@ func (gt *groupToggles) rtog(i int) float64 {
 }
 
 // activity returns the cycle's worst-task Rtog — the group's entry in
-// the DropEstimator activity vector. The packed path divides the raw
-// worst popcount exactly as irdrop.EstimateCounts historically did, so
-// the estimator layer's Estimate(activity()) is bit-identical to the
-// old inline drop computation; the byte reference reports its
-// pre-divided Rtog, likewise bit-identical.
+// the DropEstimator activity vector. It divides the raw worst popcount
+// exactly as irdrop.EstimateCounts historically did, so the estimator
+// layer's Estimate(activity()) is bit-identical to the old inline drop
+// computation.
 func (gt *groupToggles) activity() float64 {
-	if gt.bytes != nil {
-		return gt.worstRtog
-	}
 	return float64(gt.worstOnes) / float64(gt.totalBits)
-}
-
-// drop returns the cycle's deterministic Eq. 2 group drop via the
-// analytic model — retained for the packed/byte equivalence tests.
-func (gt *groupToggles) drop(m irdrop.Model) float64 {
-	if gt.bytes != nil {
-		return m.Estimate(gt.worstRtog)
-	}
-	return m.EstimateCounts(gt.worstOnes, gt.totalBits)
 }

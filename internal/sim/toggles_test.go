@@ -8,6 +8,7 @@ import (
 	"aim/internal/fxp"
 	"aim/internal/model"
 	"aim/internal/pim"
+	"aim/internal/stream"
 	"aim/internal/vf"
 	"aim/internal/xrand"
 )
@@ -56,7 +57,7 @@ func TestGroupTogglesHRMatchesTask(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	rng := xrand.New(1)
 	hrs := []float64{0.25, 0.5}
-	gt := newGroupToggles(cfg, hrs, rng, false, nil)
+	gt := newGroupToggles(cfg, hrs, rng, &waveScratch{})
 	if len(gt.banks) != 2 {
 		t.Fatalf("banks = %d", len(gt.banks))
 	}
@@ -70,34 +71,44 @@ func TestGroupTogglesHRMatchesTask(t *testing.T) {
 	}
 }
 
-// TestPackedFidelityMatchesBytesReference is the simulator-level
-// equivalence guarantee: a full PackedToggles run over the word-wise
-// engine produces the exact same Result — every drop, power, TOPS and
-// trace float — as the legacy one-byte-per-bit reference path, for
-// fixed seeds.
-func TestPackedFidelityMatchesBytesReference(t *testing.T) {
-	_, aim, net := compileBoth(t, "resnet18")
-	opt := DefaultOptions(net.Transformer, vf.LowPower)
-	opt.Seed = seed
-	opt.CyclesPerWave = 120
-	opt.Fidelity = PackedToggles
-	packed := Run(aim, pim.DefaultConfig(), opt)
-
-	opt.bytesReference = true
-	bytes := Run(aim, pim.DefaultConfig(), opt)
-
-	if !reflect.DeepEqual(packed, bytes) {
-		t.Errorf("packed fidelity diverged from byte reference:\npacked: %+v\nbytes:  %+v", packed, bytes)
+// TestGroupTogglesMatchesBytesReference is the engine-level
+// equivalence guarantee: every cycle, each task's word-wise Rtog and
+// the group's worst-task activity equal pim's one-byte-per-bit
+// reference evaluated on the same toggles, unpacked — for a bank width
+// that fills its last toggle word and one that does not.
+func TestGroupTogglesMatchesBytesReference(t *testing.T) {
+	hrs := []float64{0.1, 0.35, 0.5, 0.8}
+	for _, cells := range []int{pim.DefaultConfig().CellsPerBank, 100} {
+		cfg := pim.DefaultConfig()
+		cfg.CellsPerBank = cells
+		rng := xrand.New(seed)
+		gt := newGroupToggles(cfg, hrs, rng, &waveScratch{})
+		for cyc := 0; cyc < 200; cyc++ {
+			gt.next(rng.Float64(), rng)
+			toggles := stream.Unpack(gt.words, gt.cells)
+			worst := 0.0
+			for i := range hrs {
+				want := gt.banks[i].RtogCycleBytes(toggles)
+				if got := gt.rtog(i); got != want {
+					t.Fatalf("cells=%d cycle %d task %d: rtog = %v, byte reference %v", cells, cyc, i, got, want)
+				}
+				worst = max(worst, want)
+			}
+			if got := gt.activity(); got != worst {
+				t.Fatalf("cells=%d cycle %d: activity = %v, byte reference %v", cells, cyc, got, worst)
+			}
+		}
 	}
 }
 
-// TestPackedFidelityParallelMatchesSerial extends PR 1's determinism
-// guarantee to the packed engine: wave sharding must not change a bit.
-// Parallel != 1 additionally exercises the chunked executor with
-// per-chunk scratch reuse (waveScratch) — odd worker counts land chunk
-// boundaries mid-schedule, so reused banks/buffers are proven
-// bit-identical to the allocate-per-wave reference at every boundary
-// shape.
+// TestPackedFidelityParallelMatchesSerial extends TestParallelMatchesSerial
+// to the packed engine: wave sharding must not change a bit.
+// Every worker count runs the one chunked executor with per-chunk
+// scratch reuse (waveScratch): odd worker counts land chunk boundaries
+// mid-schedule, and one worker per wave gives every wave a fresh
+// scratch — the historical allocate-per-wave reference — so reused
+// banks/buffers are proven bit-identical to fresh ones at every
+// boundary shape.
 func TestPackedFidelityParallelMatchesSerial(t *testing.T) {
 	_, aim, net := compileBoth(t, "resnet18")
 	opt := DefaultOptions(net.Transformer, vf.LowPower)
@@ -106,30 +117,12 @@ func TestPackedFidelityParallelMatchesSerial(t *testing.T) {
 	opt.Fidelity = PackedToggles
 	opt.Parallel = 1
 	serial := Run(aim, pim.DefaultConfig(), opt)
-	for _, workers := range []int{0, 2, 3, 5} {
+	for _, workers := range []int{0, 2, 3, 5, len(aim.Waves)} {
 		opt.Parallel = workers
 		parallel := Run(aim, pim.DefaultConfig(), opt)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("packed fidelity not shard-deterministic at Parallel=%d:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
 		}
-	}
-}
-
-// TestBytesReferenceParallelMatchesSerial covers the pooled byte
-// buffers of the legacy reference engine under chunking too.
-func TestBytesReferenceParallelMatchesSerial(t *testing.T) {
-	_, aim, net := compileBoth(t, "resnet18")
-	opt := DefaultOptions(net.Transformer, vf.LowPower)
-	opt.Seed = seed
-	opt.CyclesPerWave = 60
-	opt.Fidelity = PackedToggles
-	opt.bytesReference = true
-	opt.Parallel = 1
-	serial := Run(aim, pim.DefaultConfig(), opt)
-	opt.Parallel = 3
-	chunked := Run(aim, pim.DefaultConfig(), opt)
-	if !reflect.DeepEqual(serial, chunked) {
-		t.Errorf("byte-reference engine not chunk-deterministic:\nserial:  %+v\nchunked: %+v", serial, chunked)
 	}
 }
 
@@ -154,7 +147,7 @@ func TestPackedFidelityPlausible(t *testing.T) {
 	}
 }
 
-func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel int) {
+func benchSimFidelity(b *testing.B, fidelity Fidelity, parallel int) {
 	net, err := model.ByName("resnet18", seed)
 	if err != nil {
 		b.Fatal(err)
@@ -165,7 +158,6 @@ func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel i
 	opt := DefaultOptions(net.Transformer, vf.LowPower)
 	opt.Seed = seed
 	opt.Fidelity = fidelity
-	opt.bytesReference = bytesRef
 	opt.Parallel = parallel
 	Run(c, pim.DefaultConfig(), opt) // untimed warm-up: page in caches and heap
 	b.ReportAllocs()
@@ -178,25 +170,19 @@ func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel i
 	}
 }
 
-// BenchmarkSimPacked measures an end-to-end PackedToggles run on the
-// serial reference path (Parallel=1): the word-wise per-cycle pipeline
-// with one fresh allocation set per wave. Compare
-// BenchmarkSimPackedBytes (the legacy byte walk) for the packed
-// speedup, and BenchmarkSimPackedParallel for the production path.
-func BenchmarkSimPacked(b *testing.B) { benchSimFidelity(b, PackedToggles, false, 1) }
+// BenchmarkSimPacked measures an end-to-end PackedToggles run on one
+// worker (Parallel=1): the word-wise per-cycle pipeline with every
+// wave on the calling goroutine, one fresh scratch reused across the
+// whole schedule (no WarmState). Compare BenchmarkSimPackedParallel
+// for the wave sharding on top.
+func BenchmarkSimPacked(b *testing.B) { benchSimFidelity(b, PackedToggles, 1) }
 
-// BenchmarkSimPackedParallel is the production wave executor
-// (Parallel=0): contiguous wave chunks with per-chunk scratch reuse,
-// one worker per CPU. Expected ordering:
-// BenchmarkSimPackedParallel <= BenchmarkSimPacked on any machine —
-// with a single CPU the chunked path still wins by skipping the
-// per-wave synthetic-bank reallocations (roughly half the run's
-// allocations); with more CPUs the wave sharding compounds on top.
-func BenchmarkSimPackedParallel(b *testing.B) { benchSimFidelity(b, PackedToggles, false, 0) }
-
-// BenchmarkSimPackedBytes is the same run on the retained
-// one-byte-per-bit reference engine.
-func BenchmarkSimPackedBytes(b *testing.B) { benchSimFidelity(b, PackedToggles, true, 1) }
+// BenchmarkSimPackedParallel is the same run with one worker per CPU
+// (Parallel=0): two contiguous wave chunks per worker, each reusing
+// one fresh scratch. Expected ordering: BenchmarkSimPackedParallel <=
+// BenchmarkSimPacked with more than one CPU; on a single CPU the two
+// do the same work.
+func BenchmarkSimPackedParallel(b *testing.B) { benchSimFidelity(b, PackedToggles, 0) }
 
 // BenchmarkSimAnalytic is the closed-form default engine, for scale.
-func BenchmarkSimAnalytic(b *testing.B) { benchSimFidelity(b, AnalyticToggles, false, 1) }
+func BenchmarkSimAnalytic(b *testing.B) { benchSimFidelity(b, AnalyticToggles, 1) }

@@ -79,7 +79,7 @@ func checkHandWave(t *testing.T, groups [][]handTask, failures int, ops []opWant
 	}
 
 	w := handWave(t, cfg, groups)
-	res := runWave(w, cfg, m, table, vf.DefaultPowerModel(), opt, xrand.New(1), false, nil)
+	res := runWave(w, cfg, m, table, vf.DefaultPowerModel(), opt, xrand.New(1), false, &waveScratch{})
 
 	if res.failures != failures {
 		t.Errorf("failures = %d, want %d", res.failures, failures)

@@ -11,7 +11,9 @@
 #   3. CHANGES.md carries exactly one line per PR, each starting
 #      "PR <n>: " with n sequential from 1 — it is the next session's
 #      only memory of this one, and a skipped or doubled entry breaks
-#      that chain silently.
+#      that chain silently. Lines starting "FOUND: " (a fault seen but
+#      not mended) or "MENDED: " (one since mended) sit between them
+#      and do not count in the sequence.
 #   4. ISSUE.md keeps its structural headers (# ISSUE, ## Motivation,
 #      ## Tentpole, ## Satellite tasks, ## Acceptance criteria), so
 #      the task contract stays parseable.
@@ -53,7 +55,9 @@ if [ ! -f CHANGES.md ]; then
 else
 	n=0
 	while IFS= read -r line; do
-		[ -n "$line" ] || continue
+		case "$line" in
+		"" | "FOUND: "* | "MENDED: "*) continue ;;
+		esac
 		n=$((n + 1))
 		case "$line" in
 		"PR $n: "*) ;;
