@@ -44,12 +44,15 @@ race-stress:
 # which must match per-draw Bernoulli calls for any p, length and
 # generator offset. PRs 2–6 each fixed a panic at an input boundary;
 # this keeps the corpus growing without paying a long fuzz campaign in
-# CI.
+# CI. The LHR proximal tuner is fuzzed too: its per-call table must
+# return the per-code search's answer for any code, width, window and
+# penalty.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSubmitDecode' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzParseMix' -fuzztime 10s ./cmd/aimserve
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDecode' -fuzztime 10s ./internal/planstore
 	$(GO) test -run '^$$' -fuzz 'FuzzFillBernoulli' -fuzztime 10s ./internal/xrand
+	$(GO) test -run '^$$' -fuzz 'FuzzProximalTune' -fuzztime 10s ./internal/quant
 
 # Bench smoke: one iteration of the Fig. 3 regeneration proves the
 # benchmark harness wires up, and one iteration of every internal

@@ -132,13 +132,14 @@ func Compile(net *model.Network, cfg pim.Config, opt Options) *Compiled {
 	for _, l := range net.Layers {
 		plan := &LayerPlan{Layer: l, HR: 1.0}
 		if !l.Kind.InputDetermined() {
-			base := quant.Quantize(l.Weights, opt.Bits)
-			q := base
+			var base, q *quant.Quantized
 			drift := 0.0
 			if opt.UseLHR {
 				res := quant.ApplyLHR(l.Weights, opt.Bits, lhrOpt)
-				q = res.After
-				drift = res.Drift
+				base, q, drift = res.Before, res.After, res.Drift
+			} else {
+				base = quant.Quantize(l.Weights, opt.Bits)
+				q = base
 			}
 			ovf := 0.0
 			if d := deltaFor(l.Name, opt); d > 0 {
@@ -249,8 +250,12 @@ func newMapper(cfg pim.Config, opt Options) func([]mapping.Task) *mapping.Mappin
 		rng := xrand.NewNamed(opt.Seed, "compiler/random-map")
 		return func(tasks []mapping.Task) *mapping.Mapping { return mapping.Random(tasks, cfg, rng) }
 	case HRAwareMap:
+		// One evaluator serves every wave, so its group-score cache
+		// carries across them. Its flips come from the named stream
+		// compiler/eval, which a per-wave evaluator would redraw
+		// identically; the SA stream stays fresh per wave.
+		eval := mapping.NewEvaluator(cfg, irdrop.ModelFor(cfg.Kind), opt.Mode, xrand.NewNamed(opt.Seed, "compiler/eval"))
 		return func(tasks []mapping.Task) *mapping.Mapping {
-			eval := mapping.NewEvaluator(cfg, irdrop.ModelFor(cfg.Kind), opt.Mode, xrand.NewNamed(opt.Seed, "compiler/eval"))
 			rng := xrand.NewNamed(opt.Seed, "compiler/sa")
 			best, _ := mapping.HRAware(tasks, eval, rng, mapping.DefaultSAOptions())
 			return best

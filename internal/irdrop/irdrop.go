@@ -91,18 +91,6 @@ func (m Model) Estimate(rtog float64) float64 {
 	return m.StaticMV + m.DynCoeffMV*rtog
 }
 
-// EstimateCounts evaluates Eq. 2 straight from the packed Rtog
-// engine's integer popcount accounting: ones toggled-AND-stored weight
-// bits out of total stored bits. It is the word-wise pipeline's entry
-// into the drop model — the division happens here, once, instead of in
-// every per-cycle caller.
-func (m Model) EstimateCounts(ones, total int) float64 {
-	if total <= 0 {
-		panic("irdrop: non-positive bit count")
-	}
-	return m.Estimate(float64(ones) / float64(total))
-}
-
 // EstimateNoisy adds the cycle-level variation term.
 func (m Model) EstimateNoisy(rtog float64, rng *xrand.RNG) float64 {
 	v := m.Estimate(rtog) + rng.Normal(0, m.NoiseMV)

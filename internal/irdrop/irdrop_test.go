@@ -51,29 +51,6 @@ func TestEstimateMonotone(t *testing.T) {
 	}
 }
 
-// TestEstimateCountsMatchesEstimate: the packed pipeline's integer
-// entry point is the same float as dividing first — the equivalence
-// the word-wise Rtog engine relies on.
-func TestEstimateCountsMatchesEstimate(t *testing.T) {
-	m := DPIMModel()
-	for _, c := range []struct{ ones, total int }{{0, 1024}, {317, 1024}, {1024, 1024}, {7, 8}} {
-		got := m.EstimateCounts(c.ones, c.total)
-		want := m.Estimate(float64(c.ones) / float64(c.total))
-		if got != want {
-			t.Errorf("EstimateCounts(%d,%d) = %v, want %v", c.ones, c.total, got, want)
-		}
-	}
-}
-
-func TestEstimateCountsPanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DPIMModel().EstimateCounts(1, 0)
-}
-
 func TestEstimatePanicsOutsideRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -35,9 +35,9 @@ func DefaultSAOptions() SAOptions {
 // macro" option that lets one or two macros stay unmapped to isolate
 // interfering HR extremes.
 func HRAware(tasks []Task, eval *Evaluator, rng Rand, opt SAOptions) (*Mapping, Score) {
-	cur := Sequential(tasks, eval.Cfg)
+	cur := Sequential(tasks, eval.cfg)
 	curScore := eval.Evaluate(cur, tasks)
-	s0 := math.Abs(curScore.Scalar(eval.Mode))
+	s0 := math.Abs(curScore.Scalar(eval.mode))
 	if s0 == 0 {
 		s0 = 1
 	}
@@ -53,9 +53,9 @@ func HRAware(tasks []Task, eval *Evaluator, rng Rand, opt SAOptions) (*Mapping, 
 			break // fewer than two groups: nothing to explore
 		}
 		nextScore := eval.Evaluate(next, tasks)
-		delta := nextScore.Scalar(eval.Mode) - curScore.Scalar(eval.Mode)
+		delta := nextScore.Scalar(eval.mode) - curScore.Scalar(eval.mode)
 		if delta < 0 || rng.Float64() < math.Exp(-delta/(0.5*s0*temp)) {
-			if nextScore.Scalar(eval.Mode) < bestScore.Scalar(eval.Mode) {
+			if nextScore.Scalar(eval.mode) < bestScore.Scalar(eval.mode) {
 				best = next.Clone()
 				bestScore = nextScore
 			}

@@ -116,7 +116,7 @@ func newEval(mode vf.Mode, seed int64) *Evaluator {
 func TestEvaluatorDeterministicPerInstance(t *testing.T) {
 	tasks := mixedTasks(20, 12)
 	e := newEval(vf.LowPower, 7)
-	m := Sequential(tasks, e.Cfg)
+	m := Sequential(tasks, e.cfg)
 	a := e.Evaluate(m, tasks)
 	b := e.Evaluate(m, tasks)
 	if a != b {
@@ -181,9 +181,9 @@ func TestHRAwareBeatsNaiveMappings(t *testing.T) {
 		if err := best.Validate(len(tasks)); err != nil {
 			t.Fatal(err)
 		}
-		seq := e.Evaluate(Sequential(tasks, e.Cfg), tasks)
-		zig := e.Evaluate(Zigzag(tasks, e.Cfg), tasks)
-		rnd := e.Evaluate(Random(tasks, e.Cfg, xrand.New(17)), tasks)
+		seq := e.Evaluate(Sequential(tasks, e.cfg), tasks)
+		zig := e.Evaluate(Zigzag(tasks, e.cfg), tasks)
+		rnd := e.Evaluate(Random(tasks, e.cfg, xrand.New(17)), tasks)
 		for name, sc := range map[string]Score{"sequential": seq, "zigzag": zig, "random": rnd} {
 			if bestScore.Scalar(mode) > sc.Scalar(mode) {
 				t.Errorf("%v: HR-aware (%.4g) worse than %s (%.4g)",

@@ -109,26 +109,61 @@ func GradientTune(w *tensor.Float, scale float64, bits int, opt LHROptions, rng 
 // with λbits the per-bit penalty in code-units². It is deterministic,
 // fast, and is what the repository uses for large sweeps; TestGradient
 // MatchesProximal verifies the two forms agree in distribution.
+//
+// The answer depends only on c0, so at widths up to 16 bits each
+// in-range code's answer is searched once and kept in a per-call
+// table; wider widths and out-of-range codes search every time.
 func ProximalTune(codes []int32, bits, window int, lambdaBits float64) []int32 {
 	out := make([]int32, len(codes))
-	lo64, hi64 := int64(fxp.MinInt(bits)), int64(fxp.MaxInt(bits))
-	for i, c0 := range codes {
-		best := c0
-		bestCost := math.Inf(1)
-		for d := -window; d <= window; d++ {
-			c := int64(c0) + int64(d)
-			if c < lo64 || c > hi64 {
-				continue
-			}
-			cost := lambdaBits*float64(fxp.Hamming(int32(c), bits)) + float64(d*d)
-			if cost < bestCost || (cost == bestCost && abs64(c) < abs64(int64(best))) {
-				bestCost = cost
-				best = int32(c)
-			}
+	lo, hi := fxp.MinInt(bits), fxp.MaxInt(bits)
+	var table []int32
+	if bits <= maxTableBits {
+		table = make([]int32, int(hi)-int(lo)+1)
+		for i := range table {
+			table[i] = unsearched
 		}
-		out[i] = best
+	}
+	for i, c0 := range codes {
+		if table == nil || c0 < lo || c0 > hi {
+			out[i] = proximalCode(c0, bits, window, lambdaBits)
+			continue
+		}
+		t := &table[c0-lo]
+		if *t == unsearched {
+			*t = proximalCode(c0, bits, window, lambdaBits)
+		}
+		out[i] = *t
 	}
 	return out
+}
+
+// maxTableBits is the widest code ProximalTune memoizes: its table has
+// 2^bits entries, 256 KiB at 16 bits but 16 GiB at 32.
+const maxTableBits = 16
+
+// unsearched marks a ProximalTune table entry not yet filled; no code
+// of at most maxTableBits bits can equal it.
+const unsearched = math.MinInt32
+
+// proximalCode is ProximalTune's search for one code: the in-range
+// code within ±window of c0 with the least cost, the smaller magnitude
+// winning ties, or c0 itself when no candidate is in range.
+func proximalCode(c0 int32, bits, window int, lambdaBits float64) int32 {
+	lo64, hi64 := int64(fxp.MinInt(bits)), int64(fxp.MaxInt(bits))
+	best := c0
+	bestCost := math.Inf(1)
+	for d := -window; d <= window; d++ {
+		c := int64(c0) + int64(d)
+		if c < lo64 || c > hi64 {
+			continue
+		}
+		cost := lambdaBits*float64(fxp.Hamming(int32(c), bits)) + float64(d*d)
+		if cost < bestCost || (cost == bestCost && abs64(c) < abs64(int64(best))) {
+			bestCost = cost
+			best = int32(c)
+		}
+	}
+	return best
 }
 
 func abs64(v int64) int64 {

@@ -151,10 +151,8 @@ func (gt *groupToggles) rtog(i int) float64 {
 }
 
 // activity returns the cycle's worst-task Rtog — the group's entry in
-// the DropEstimator activity vector. It divides the raw worst popcount
-// exactly as irdrop.EstimateCounts historically did, so the estimator
-// layer's Estimate(activity()) is bit-identical to the old inline drop
-// computation.
+// the DropEstimator activity vector: the raw worst popcount divided,
+// once, by the group's stored bits.
 func (gt *groupToggles) activity() float64 {
 	return float64(gt.worstOnes) / float64(gt.totalBits)
 }
