@@ -46,13 +46,16 @@ race-stress:
 # this keeps the corpus growing without paying a long fuzz campaign in
 # CI. The LHR proximal tuner is fuzzed too: its per-call table must
 # return the per-code search's answer for any code, width, window and
-# penalty.
+# penalty. So is the one offline pass, quant.OptimizeLayer: it must
+# equal the hand-written Quantize → LHR → ShiftWeights composition for
+# any seeded tensor, width, window, λ, LHR switch and power-of-two δ.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSubmitDecode' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzParseMix' -fuzztime 10s ./cmd/aimserve
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanDecode' -fuzztime 10s ./internal/planstore
 	$(GO) test -run '^$$' -fuzz 'FuzzFillBernoulli' -fuzztime 10s ./internal/xrand
 	$(GO) test -run '^$$' -fuzz 'FuzzProximalTune' -fuzztime 10s ./internal/quant
+	$(GO) test -run '^$$' -fuzz 'FuzzOptimizeLayer' -fuzztime 10s ./internal/quant
 
 # Bench smoke: one iteration of the Fig. 3 regeneration proves the
 # benchmark harness wires up, and one iteration of every internal

@@ -57,28 +57,24 @@ func (s Strategy) String() string {
 
 // Options configures a compilation.
 type Options struct {
-	Bits   int
-	UseLHR bool
-	// WDSDelta is the default δ (§5.2.1: default 8; 0 disables WDS).
-	WDSDelta int
-	// PerOpDelta overrides δ for named operators ("users can explicitly
-	// specify different δ values for each operator").
-	PerOpDelta map[string]int
-	Strategy   Strategy
-	Mode       vf.Mode
-	Seed       int64
+	// QuantConfig is the offline quantization pass: width, LHR, and
+	// the default and per-operator WDS δ.
+	model.QuantConfig
+	Strategy Strategy
+	Mode     vf.Mode
+	Seed     int64
 }
 
 // DefaultOptions is the full AIM software pipeline: LHR + WDS(δ=8) +
 // HR-aware mapping.
 func DefaultOptions() Options {
-	return Options{Bits: 8, UseLHR: true, WDSDelta: 8, Strategy: HRAwareMap, Mode: vf.LowPower, Seed: 1}
+	return Options{QuantConfig: model.WDSConfig(8), Strategy: HRAwareMap, Mode: vf.LowPower, Seed: 1}
 }
 
 // BaselineOptions is the no-AIM software path: plain quantization and
 // sequential mapping.
 func BaselineOptions() Options {
-	return Options{Bits: 8, Strategy: SequentialMap, Mode: vf.LowPower, Seed: 1}
+	return Options{QuantConfig: model.BaselineConfig(), Strategy: SequentialMap, Mode: vf.LowPower, Seed: 1}
 }
 
 // LayerPlan is one operator after quantization and segmentation.
@@ -127,41 +123,22 @@ func Compile(net *model.Network, cfg pim.Config, opt Options) *Compiled {
 		opt.Bits = 8
 	}
 	c := &Compiled{Net: net, Options: opt}
-	lhrOpt := net.LHROptions()
-	var lqs []model.LayerQuant
+	lqs := model.QuantizeNetwork(net, opt.QuantConfig)
+	next := 0
 	for _, l := range net.Layers {
 		plan := &LayerPlan{Layer: l, HR: 1.0}
 		if !l.Kind.InputDetermined() {
-			var base, q *quant.Quantized
-			drift := 0.0
-			if opt.UseLHR {
-				res := quant.ApplyLHR(l.Weights, opt.Bits, lhrOpt)
-				base, q, drift = res.Before, res.After, res.Drift
-			} else {
-				base = quant.Quantize(l.Weights, opt.Bits)
-				q = base
+			lq := lqs[next]
+			next++
+			if !quant.IsPow2(lq.Delta) {
+				panic(fmt.Sprintf("compiler: δ=%d for %s is not a power of two", lq.Delta, l.Name))
 			}
-			ovf := 0.0
-			if d := deltaFor(l.Name, opt); d > 0 {
-				if !quant.IsPow2(d) {
-					panic(fmt.Sprintf("compiler: δ=%d for %s is not a power of two", d, l.Name))
-				}
-				shifted, nOv := quant.ShiftWeights(q, d)
-				q = shifted
-				plan.Delta = d
-				if n := len(base.Codes.Data); n > 0 {
-					ovf = float64(nOv) / float64(n)
-				}
-			}
-			plan.Quant = q
-			plan.HR = q.HR()
-			lqs = append(lqs, model.LayerQuant{Layer: l, Q: q, Drift: drift, OverflowFrac: ovf})
+			plan.Quant, plan.HR, plan.Delta = lq.Q, lq.HR, lq.Delta
 		}
 		c.Plans = append(c.Plans, plan)
 	}
-	st := model.Stats(lqs)
-	c.Stats = st
-	c.Drift = st.MeanDrift
+	c.Stats = model.Stats(lqs)
+	c.Drift = c.Stats.MeanDrift
 	c.Waves = schedule(c.Plans, cfg)
 	mapper := newMapper(cfg, opt)
 	for _, w := range c.Waves {
@@ -171,13 +148,6 @@ func Compile(net *model.Network, cfg pim.Config, opt Options) *Compiled {
 		}
 	}
 	return c
-}
-
-func deltaFor(name string, opt Options) int {
-	if d, ok := opt.PerOpDelta[name]; ok {
-		return d
-	}
-	return opt.WDSDelta
 }
 
 // schedule segments operators into macro tasks and packs them into

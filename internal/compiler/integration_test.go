@@ -34,7 +34,8 @@ func TestCompiledCodesComputeExactlyOnEngine(t *testing.T) {
 	}
 
 	// Reconstruct the *unshifted* LHR codes the shift was applied to.
-	lhr := quant.ApplyLHR(plan.Layer.Weights, 8, net.LHROptions()).After
+	lhrOpt := net.LHROptions()
+	lhr := quant.OptimizeLayer(plan.Layer.Weights, 8, &lhrOpt, 0).Deployed
 
 	// Arrange codes as a small matrix and run both paths: the engine
 	// with shifted weights + compensation, and the reference integer

@@ -126,13 +126,14 @@ func Fig5(seed int64) *Table {
 		if layer == nil {
 			panic("fig5: layer not found: " + c.layerName)
 		}
+		lhrOpt := net.LHROptions()
+		res := quant.OptimizeLayer(layer.Weights, 8, &lhrOpt, 8)
 		return rowsOf(func(t *Table) {
 			for _, withOpt := range []bool{false, true} {
-				q := quant.Quantize(layer.Weights, 8)
+				q := res.Base
 				label := "w/o HR-opt"
 				if withOpt {
-					res := quant.ApplyLHR(layer.Weights, 8, net.LHROptions())
-					q, _ = quant.ShiftWeights(res.After, 8)
+					q = res.Deployed
 					label = "w HR-opt"
 				}
 				codes := q.Codes.Data
@@ -169,13 +170,13 @@ func Fig7(seed int64) *Table {
 	net := model.ResNet18(seed)
 	var base, lhr []float64
 	hamAt := map[int]int{}
+	lhrOpt := net.LHROptions()
 	for _, l := range net.WeightLayers() {
-		b := quant.Quantize(l.Weights, 8)
-		a := quant.ApplyLHR(l.Weights, 8, net.LHROptions()).After
-		for _, c := range b.Codes.Data {
+		r := quant.OptimizeLayer(l.Weights, 8, &lhrOpt, 0)
+		for _, c := range r.Base.Codes.Data {
 			base = append(base, float64(c))
 		}
-		for _, c := range a.Codes.Data {
+		for _, c := range r.Deployed.Codes.Data {
 			lhr = append(lhr, float64(c))
 		}
 	}
@@ -227,7 +228,7 @@ func Fig12(seed int64) *Table {
 	l := model.QuantizeNetwork(net, model.LHRConfig())
 	w := model.QuantizeNetwork(net, model.WDSConfig(16))
 	for i := range b {
-		t.AddRow(b[i].Layer.Name, pct(b[i].HR()), pct(l[i].HR()), pct(w[i].HR()))
+		t.AddRow(b[i].Layer.Name, pct(b[i].HR), pct(l[i].HR), pct(w[i].HR))
 	}
 	sb, sl, sw := model.Stats(b), model.Stats(l), model.Stats(w)
 	t.AddRow("HRaverage", pct(sb.Average), pct(sl.Average), pct(sw.Average))
@@ -277,32 +278,22 @@ func Fig14(seed int64) *Table {
 		Header: []string{"delta", "resnet18", "vit"},
 	}
 	nets := []*model.Network{model.ResNet18(seed), model.ViT(seed)}
-	// Pre-compute LHR-only codes once per net.
-	type layerCodes struct {
-		q     *quant.Quantized
-		elems float64
-	}
-	all := make([][]layerCodes, len(nets))
+	// Pre-compute LHR-only codes once per net; the sweep shifts them.
+	all := make([][]model.LayerQuant, len(nets))
 	ref := make([]float64, len(nets))
 	for i, n := range nets {
-		var elems float64
-		for _, l := range n.WeightLayers() {
-			q := quant.ApplyLHR(l.Weights, 8, n.LHROptions()).After
-			e := float64(l.Elems())
-			all[i] = append(all[i], layerCodes{q, e})
-			ref[i] += q.HR() * e
-			elems += e
-		}
-		ref[i] /= elems
+		all[i] = model.QuantizeNetwork(n, model.LHRConfig())
+		ref[i] = model.Stats(all[i]).Average
 	}
 	shardRows(t, 18, func(delta int) [][]string {
 		row := []string{fmt.Sprint(delta)}
 		for i := range nets {
 			var hr, elems float64
-			for _, lc := range all[i] {
-				shifted, _ := quant.ShiftWeights(lc.q, delta)
-				hr += shifted.HR() * lc.elems
-				elems += lc.elems
+			for _, lq := range all[i] {
+				e := float64(lq.Layer.Elems())
+				shifted, _ := quant.ShiftWeights(lq.Q, delta)
+				hr += shifted.HR() * e
+				elems += e
 			}
 			row = append(row, f3(hr/elems/ref[i]))
 		}
@@ -346,10 +337,9 @@ func fig15Rows(t *Table, n *model.Network) {
 		for _, l := range n.WeightLayers() {
 			pruned := quant.RunGMP(l.Weights, sched)
 			e := float64(l.Elems())
-			qp := quant.Quantize(pruned, 8)
-			hrP += qp.HR() * e
-			res := quant.ApplyLHR(pruned, 8, lhrOpt)
-			hrPL += res.After.HR() * e
+			res := quant.OptimizeLayer(pruned, 8, &lhrOpt, 0)
+			hrP += res.Base.HR() * e
+			hrPL += res.HR * e
 			driftPL += res.Drift * e
 			elems += e
 		}

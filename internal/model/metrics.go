@@ -6,11 +6,17 @@ import (
 
 // QuantConfig selects a point in the paper's quantization-pipeline
 // space: the baseline QAT quantizer, optionally with the LHR
-// regularizer, optionally followed by WDS with shift δ.
+// regularizer, optionally followed by WDS with shift δ. It is the one
+// declaration of these knobs; compiler.Options embeds it.
 type QuantConfig struct {
-	Bits     int
-	UseLHR   bool
-	WDSDelta int // 0 disables WDS
+	// Bits is the quantization width (0 selects 8).
+	Bits   int
+	UseLHR bool
+	// WDSDelta is the default δ (§5.2.1: default 8; 0 disables WDS).
+	WDSDelta int
+	// PerOpDelta overrides δ for named operators ("users can explicitly
+	// specify different δ values for each operator").
+	PerOpDelta map[string]int
 }
 
 // BaselineConfig is the paper's [64] baseline: plain INT8 QAT.
@@ -22,22 +28,26 @@ func LHRConfig() QuantConfig { return QuantConfig{Bits: 8, UseLHR: true} }
 // WDSConfig is baseline + LHR + WDS(δ).
 func WDSConfig(delta int) QuantConfig { return QuantConfig{Bits: 8, UseLHR: true, WDSDelta: delta} }
 
-// String renders the config the way the paper labels columns.
-func (c QuantConfig) String() string {
-	switch {
-	case c.WDSDelta > 0:
-		return "+WDS"
-	case c.UseLHR:
-		return "+LHR"
-	default:
-		return "baseline"
+// deltaFor returns the δ the named operator is shifted by: its
+// PerOpDelta override, else WDSDelta, with anything below 1 meaning no
+// shift (0).
+func (c QuantConfig) deltaFor(name string) int {
+	d, ok := c.PerOpDelta[name]
+	if !ok {
+		d = c.WDSDelta
 	}
+	return max(d, 0)
 }
 
 // LayerQuant is one weight-stationary layer after quantization.
 type LayerQuant struct {
 	Layer *Layer
-	Q     *quant.Quantized
+	// Q holds the deployed codes.
+	Q *quant.Quantized
+	// HR is the deployed codes' Hamming rate.
+	HR float64
+	// Delta is the WDS δ applied (0 if none).
+	Delta int
 	// Drift is the mean absolute code movement relative to the baseline
 	// quantization (accuracy surrogate input).
 	Drift float64
@@ -45,36 +55,24 @@ type LayerQuant struct {
 	OverflowFrac float64
 }
 
-// HR returns the layer's Hamming rate.
-func (lq LayerQuant) HR() float64 { return lq.Q.HR() }
-
 // QuantizeNetwork applies the configured pipeline to every
-// weight-stationary layer of the network.
+// weight-stationary layer of the network, in layer order, through
+// quant.OptimizeLayer.
 func QuantizeNetwork(n *Network, cfg QuantConfig) []LayerQuant {
 	bits := cfg.Bits
 	if bits == 0 {
 		bits = 8
 	}
-	opt := n.LHROptions()
+	var lhr *quant.LHROptions
+	if cfg.UseLHR {
+		opt := n.LHROptions()
+		lhr = &opt
+	}
 	var out []LayerQuant
 	for _, l := range n.WeightLayers() {
-		base := quant.Quantize(l.Weights, bits)
-		q := base
-		drift := 0.0
-		if cfg.UseLHR {
-			res := quant.ApplyLHR(l.Weights, bits, opt)
-			q = res.After
-			drift = res.Drift
-		}
-		ovf := 0.0
-		if cfg.WDSDelta > 0 {
-			shifted, nOv := quant.ShiftWeights(q, cfg.WDSDelta)
-			q = shifted
-			if n := len(base.Codes.Data); n > 0 {
-				ovf = float64(nOv) / float64(n)
-			}
-		}
-		out = append(out, LayerQuant{Layer: l, Q: q, Drift: drift, OverflowFrac: ovf})
+		d := cfg.deltaFor(l.Name)
+		r := quant.OptimizeLayer(l.Weights, bits, lhr, d)
+		out = append(out, LayerQuant{Layer: l, Q: r.Deployed, HR: r.HR, Delta: d, Drift: r.Drift, OverflowFrac: r.OverflowFrac})
 	}
 	return out
 }
@@ -101,7 +99,7 @@ func Stats(lqs []LayerQuant) HRStats {
 	weightedHR := 0.0
 	weightedDrift := 0.0
 	for _, lq := range lqs {
-		hr := lq.HR()
+		hr := lq.HR
 		st.PerLayer = append(st.PerLayer, hr)
 		if hr > st.Max {
 			st.Max = hr

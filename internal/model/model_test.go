@@ -225,9 +225,3 @@ func TestWeightLayersExcludeAttentionProducts(t *testing.T) {
 		t.Errorf("GPT2 weight layer count = %d, want 48", len(n.WeightLayers()))
 	}
 }
-
-func TestConfigString(t *testing.T) {
-	if BaselineConfig().String() != "baseline" || LHRConfig().String() != "+LHR" || WDSConfig(8).String() != "+WDS" {
-		t.Error("config labels wrong")
-	}
-}

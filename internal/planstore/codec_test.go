@@ -38,7 +38,7 @@ func handPlan(codes []int32) *core.Plan {
 		}
 		return &compiler.Compiled{
 			Net:     net,
-			Options: compiler.Options{Bits: 8, WDSDelta: 16},
+			Options: compiler.Options{QuantConfig: model.QuantConfig{Bits: 8, WDSDelta: 16}},
 			Plans:   []*compiler.LayerPlan{lp},
 			Waves: []*compiler.Wave{{
 				Plans:  []*compiler.LayerPlan{lp},

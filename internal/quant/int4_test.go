@@ -40,9 +40,9 @@ func TestInt4LHRReducesHR(t *testing.T) {
 	w := int4Tensor(42, 1<<14)
 	opt := DefaultLHROptions()
 	opt.Window = 2 // INT4 codes span only ±8; drift must stay small
-	res := ApplyLHR(w, 4, opt)
-	if res.After.HR() >= res.Before.HR() {
-		t.Fatalf("INT4 LHR failed: %v -> %v", res.Before.HR(), res.After.HR())
+	res := OptimizeLayer(w, 4, &opt, 0)
+	if res.HR >= res.Base.HR() {
+		t.Fatalf("INT4 LHR failed: %v -> %v", res.Base.HR(), res.HR)
 	}
 }
 
@@ -54,10 +54,9 @@ func TestInt4WDSDeltas(t *testing.T) {
 	// — so the shift is evaluated against the quantized baseline, with
 	// a mild LHR pass checked separately below.)
 	w := int4Tensor(43, 1<<15)
-	q := Quantize(w, 4)
-	base := q.HR()
-	_, hr2, _ := WDSGain(q, 2)
-	_, hr4, _ := WDSGain(q, 4)
+	base := Quantize(w, 4).HR()
+	hr2 := OptimizeLayer(w, 4, nil, 2).HR
+	hr4 := OptimizeLayer(w, 4, nil, 4).HR
 	if hr2 >= base {
 		t.Errorf("INT4 WDS(2) did not reduce HR: %v -> %v", base, hr2)
 	}
@@ -75,8 +74,7 @@ func TestInt4WDSDeltas(t *testing.T) {
 	opt := DefaultLHROptions()
 	opt.Lambda = 0.2
 	opt.Window = 1
-	res := ApplyLHR(w, 4, opt)
-	_, hrBoth, _ := WDSGain(res.After, 2)
+	hrBoth := OptimizeLayer(w, 4, &opt, 2).HR
 	if hrBoth >= base {
 		t.Errorf("INT4 LHR+WDS(2) (%v) should beat baseline (%v)", hrBoth, base)
 	}
@@ -96,8 +94,7 @@ func TestInt4WDSOverflowStillRare(t *testing.T) {
 	w := int4Tensor(45, 1<<14)
 	opt := DefaultLHROptions()
 	opt.Window = 2
-	res := ApplyLHR(w, 4, opt)
-	_, _, ovf := WDSGain(res.After, 2)
+	ovf := OptimizeLayer(w, 4, &opt, 2).OverflowFrac
 	// INT4's tiny range clamps more than INT8, but the shift must stay
 	// far from mainstream mass.
 	if ovf > 0.08 {

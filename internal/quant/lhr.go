@@ -173,28 +173,6 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// LHRResult summarizes an LHR pass over one layer.
-type LHRResult struct {
-	Before *Quantized
-	After  *Quantized
-	// Drift is the mean absolute code movement caused by the tuning,
-	// consumed by the accuracy surrogate.
-	Drift float64
-}
-
-// ApplyLHR quantizes a layer with the baseline quantizer, then applies
-// the LHR proximal tuner with per-layer strength scaled by the squared
-// Hamming loss of Eq. 6 (high-HR layers receive a stronger penalty).
-func ApplyLHR(w *tensor.Float, bits int, opt LHROptions) LHRResult {
-	base := Quantize(w, bits)
-	// Eq. 6 weighting: effective per-bit penalty proportional to the
-	// layer's own HR, iterated once to self-consistency.
-	lam := opt.Lambda * 2 * base.HR()
-	tuned := ProximalTune(base.Codes.Data, bits, opt.Window, lam)
-	after := &Quantized{Codes: &tensor.Int{Shape: base.Codes.Shape, Data: tuned, Bits: bits}, Scale: base.Scale}
-	return LHRResult{Before: base, After: after, Drift: MeanAbsCodeDelta(base, after)}
-}
-
 // NetworkLoss computes the paper's Eq. 6 Hamming loss over a set of
 // layers: the sum of squared per-layer average HRs.
 func NetworkLoss(layers []*Quantized) float64 {

@@ -70,6 +70,21 @@ func TestQuantizeIdempotent(t *testing.T) {
 	}
 }
 
+// TestScaleSubnormalMax: a tensor whose absolute maximum is so small
+// that dividing it by the top code underflows still gets a positive
+// scale, so Quantize neither panics nor divides by zero.
+func TestScaleSubnormalMax(t *testing.T) {
+	w := &tensor.Float{Shape: []int{3}, Data: []float64{5e-324, -5e-324, 0}}
+	if s := Scale(w, 8); s != 1 {
+		t.Fatalf("Scale = %v, want 1", s)
+	}
+	for i, c := range Quantize(w, 8).Codes.Data {
+		if c != 0 {
+			t.Fatalf("code %d = %d, want 0", i, c)
+		}
+	}
+}
+
 func TestBaselineHRNearHalf(t *testing.T) {
 	// Symmetric Gaussian INT8 weights have HR close to 0.5: positive
 	// codes are sparse in 1s, negative two's-complement codes are dense.
@@ -80,10 +95,11 @@ func TestBaselineHRNearHalf(t *testing.T) {
 	}
 }
 
-func TestApplyLHRReducesHR(t *testing.T) {
+func TestOptimizeLayerLHRReducesHR(t *testing.T) {
 	w := laplaceTensor(4, 1<<15, 0.02)
-	res := ApplyLHR(w, 8, DefaultLHROptions())
-	before, after := res.Before.HR(), res.After.HR()
+	opt := DefaultLHROptions()
+	res := OptimizeLayer(w, 8, &opt, 0)
+	before, after := res.Base.HR(), res.HR
 	if after >= before {
 		t.Fatalf("LHR did not reduce HR: %v -> %v", before, after)
 	}
@@ -135,8 +151,7 @@ func TestGradientTuneMatchesProximalInDistribution(t *testing.T) {
 	opt := DefaultLHROptions()
 	tuned := GradientTune(w, s, 8, opt, xrand.New(99))
 	qGrad := QuantizeWithScale(tuned, 8, s)
-	res := ApplyLHR(w, 8, opt)
-	hrGrad, hrProx := qGrad.HR(), res.After.HR()
+	hrGrad, hrProx := qGrad.HR(), OptimizeLayer(w, 8, &opt, 0).HR
 	if math.Abs(hrGrad-hrProx) > 0.08 {
 		t.Errorf("gradient HR %.3f vs proximal HR %.3f differ too much", hrGrad, hrProx)
 	}
@@ -221,15 +236,15 @@ func TestWDSExactnessProperty(t *testing.T) {
 	}
 }
 
-func TestWDSGainOnLHRWeights(t *testing.T) {
+func TestOptimizeLayerWDSOnLHRWeights(t *testing.T) {
 	// After LHR, shifting by 8 or 16 should reduce HR; shifting by 4
 	// should not help (paper Fig. 14 / §6.4).
 	w := laplaceTensor(11, 1<<15, 0.02)
-	res := ApplyLHR(w, 8, DefaultLHROptions())
-	_, hr8, _ := WDSGain(res.After, 8)
-	_, hr16, _ := WDSGain(res.After, 16)
-	_, hr4, _ := WDSGain(res.After, 4)
-	base := res.After.HR()
+	opt := DefaultLHROptions()
+	hr8 := OptimizeLayer(w, 8, &opt, 8).HR
+	hr16 := OptimizeLayer(w, 8, &opt, 16).HR
+	hr4 := OptimizeLayer(w, 8, &opt, 4).HR
+	base := OptimizeLayer(w, 8, &opt, 0).HR
 	if hr8 >= base {
 		t.Errorf("WDS(8) did not reduce HR: %v -> %v", base, hr8)
 	}
@@ -244,8 +259,8 @@ func TestWDSGainOnLHRWeights(t *testing.T) {
 func TestWDSOverflowRare(t *testing.T) {
 	// Paper §5.4.1: overflow clamping affects <1% of weights.
 	w := laplaceTensor(12, 1<<15, 0.02)
-	res := ApplyLHR(w, 8, DefaultLHROptions())
-	_, _, ovf := WDSGain(res.After, 16)
+	opt := DefaultLHROptions()
+	ovf := OptimizeLayer(w, 8, &opt, 16).OverflowFrac
 	if ovf > 0.01 {
 		t.Errorf("overflow fraction = %v, want <1%%", ovf)
 	}

@@ -1,9 +1,12 @@
 // Package quant implements the quantization toolchain the AIM software
 // stack builds on: a symmetric fixed-point quantizer, the LHR (Lower
 // Hamming Rate) regularizer of the paper's §5.3 with both its
-// gradient-based form (Eq. 5/6) and a proximal fixed-point solver, a
-// PTQ path (OmniQuant/BRECQ-lite) for Table 3, gradual magnitude
-// pruning for Fig. 15, and Hamming-rate metrics over quantized layers.
+// gradient-based form (Eq. 5/6) and a proximal fixed-point solver, the
+// WDS shift of §5.4, a PTQ path (OmniQuant/BRECQ-lite) for Table 3,
+// gradual magnitude pruning for Fig. 15, and Hamming-rate metrics over
+// quantized layers. OptimizeLayer is the one offline pass that chains
+// quantization, LHR and WDS over a tensor; every caller that deploys
+// weights goes through it.
 package quant
 
 import (
@@ -22,25 +25,23 @@ type Quantized struct {
 }
 
 // Scale returns the symmetric quantization scale mapping the tensor's
-// absolute maximum to the top code at the given bit width.
+// absolute maximum to the top code at the given bit width. It is
+// always positive: an all-zero tensor, or one whose subnormal maximum
+// underflows the division, gets scale 1.
 func Scale(w *tensor.Float, bits int) float64 {
 	m := w.AbsMax()
-	if m == 0 {
+	s := m / float64(fxp.MaxInt(bits))
+	if m == 0 || s == 0 {
 		return 1
 	}
-	return m / float64(fxp.MaxInt(bits))
+	return s
 }
 
 // Quantize performs symmetric round-to-nearest quantization at the given
 // bit width. This is the "baseline" quantizer the paper compares against
 // (Nagel et al. white-paper QAT rounding behaviour).
 func Quantize(w *tensor.Float, bits int) *Quantized {
-	s := Scale(w, bits)
-	codes := tensor.NewInt(bits, w.Shape...)
-	for i, v := range w.Data {
-		codes.Data[i] = fxp.Clamp(int64(math.Round(v/s)), bits)
-	}
-	return &Quantized{Codes: codes, Scale: s}
+	return QuantizeWithScale(w, bits, Scale(w, bits))
 }
 
 // QuantizeWithScale quantizes with an externally chosen scale (used when
@@ -68,11 +69,6 @@ func Dequantize(q *Quantized) *tensor.Float {
 // HR returns the Hamming rate of the quantized codes (paper Eq. 3).
 func (q *Quantized) HR() float64 {
 	return fxp.HR(q.Codes.Data, q.Codes.Bits)
-}
-
-// HM returns the Hamming value (total count of 1 bits) of the codes.
-func (q *Quantized) HM() int {
-	return fxp.HM(q.Codes.Data, q.Codes.Bits)
 }
 
 // Clone deep-copies the quantized tensor.

@@ -75,15 +75,3 @@ func MatmulWithWDS(w *Quantized, x *tensor.Int, delta int) [][]int64 {
 	}
 	return out
 }
-
-// WDSGain reports the HR before and after shifting by δ. It is the
-// primitive behind the Fig. 14 δ-sweep.
-func WDSGain(q *Quantized, delta int) (before, after float64, overflowFrac float64) {
-	before = q.HR()
-	shifted, ov := ShiftWeights(q, delta)
-	after = shifted.HR()
-	if n := len(q.Codes.Data); n > 0 {
-		overflowFrac = float64(ov) / float64(n)
-	}
-	return before, after, overflowFrac
-}

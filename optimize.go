@@ -69,21 +69,16 @@ func Optimize(weights []float64, opt OptimizeOptions) (OptimizedWeights, error) 
 	lhrOpt := quant.DefaultLHROptions()
 	lhrOpt.Lambda = opt.Lambda
 	lhrOpt.Window = opt.Window
-	res := quant.ApplyLHR(w, opt.Bits, lhrOpt)
+	res := quant.OptimizeLayer(w, opt.Bits, &lhrOpt, opt.WDSDelta)
 	out := OptimizedWeights{
-		Scale:     res.After.Scale,
-		WDSDelta:  opt.WDSDelta,
-		HRBefore:  res.Before.HR(),
-		MeanDrift: res.Drift,
+		Codes:        res.Deployed.Codes.Data,
+		Scale:        res.Deployed.Scale,
+		WDSDelta:     opt.WDSDelta,
+		HRBefore:     res.Base.HR(),
+		HRAfter:      res.HR,
+		MeanDrift:    res.Drift,
+		OverflowFrac: res.OverflowFrac,
 	}
-	q := res.After
-	if opt.WDSDelta > 0 {
-		shifted, nOv := quant.ShiftWeights(q, opt.WDSDelta)
-		q = shifted
-		out.OverflowFrac = float64(nOv) / float64(len(weights))
-	}
-	out.Codes = q.Codes.Data
-	out.HRAfter = q.HR()
 	return out, nil
 }
 
