@@ -112,9 +112,9 @@ type Compiled struct {
 	Options Options
 	Plans   []*LayerPlan
 	Waves   []*Wave
-	Stats   model.HRStats
-	// Drift feeds the accuracy surrogate.
-	Drift float64
+	// Stats carries the HR summary and, in MeanDrift, the code drift
+	// that feeds the accuracy surrogate.
+	Stats model.HRStats
 }
 
 // Compile runs the offline pipeline on a network.
@@ -138,7 +138,6 @@ func Compile(net *model.Network, cfg pim.Config, opt Options) *Compiled {
 		c.Plans = append(c.Plans, plan)
 	}
 	c.Stats = model.Stats(lqs)
-	c.Drift = c.Stats.MeanDrift
 	c.Waves = schedule(c.Plans, cfg)
 	mapper := newMapper(cfg, opt)
 	for _, w := range c.Waves {
@@ -237,5 +236,5 @@ func newMapper(cfg pim.Config, opt Options) func([]mapping.Task) *mapping.Mappin
 
 // Quality returns the surrogate task quality of the compiled network.
 func (c *Compiled) Quality() float64 {
-	return c.Net.Profile.Acc.AfterDrift(c.Drift)
+	return c.Net.Profile.Acc.AfterDrift(c.Stats.MeanDrift)
 }

@@ -226,8 +226,8 @@ func checkAgainstReference(t *testing.T, net *model.Network, points []oraclePoin
 					label, got.Layer.Name, got.HR, got.Delta, want.HR, want.Delta, sameCodes(got.Quant, want.Quant))
 			}
 		}
-		if !sameStats(c.Stats, st) || c.Drift != drift {
-			t.Fatalf("%s: compile stats %+v drift %v, reference %+v drift %v", label, c.Stats, c.Drift, st, drift)
+		if !sameStats(c.Stats, st) || c.Stats.MeanDrift != drift {
+			t.Fatalf("%s: compile stats %+v drift %v, reference %+v drift %v", label, c.Stats, c.Stats.MeanDrift, st, drift)
 		}
 
 		if p.perOp != nil {

@@ -78,7 +78,9 @@ type Layer struct {
 	// operators describe their runtime operand shapes instead.
 	Rows, Cols int
 	// Weights holds sampled synthetic weights for weight-stationary
-	// operators (nil for input-determined ones).
+	// operators (nil for input-determined ones). Only the offline
+	// quantize pass reads them; a plan decoded from the plan store
+	// does not carry them, so its layers' Weights are nil.
 	Weights *tensor.Float
 	// SigmaMul is the per-layer width multiplier applied to the model's
 	// base distribution; recorded for reproducibility.

@@ -21,18 +21,22 @@ import (
 	"aim/internal/vf"
 )
 
-// The on-disk container (format 2) is
+// The on-disk container (format 3) is
 //
 //	magic "AIMPLAN1" | u32 format version | code-version string |
 //	key id string | u64 payload length | payload | sha256(payload)
 //
 // and the payload is a flat little-endian walk of the Plan:
 //
-//	u64 network length | network | baseline Compiled | AIM Compiled
+//	network | baseline Compiled | AIM Compiled
 //
-// The network comes once, framed by its byte length so a store can
-// recognise a network it already holds without decoding it again.
-// Both Compiled artifacts write every aliased pointer as an index —
+// It holds the deployed artifact — codes, HR, waves and mappings —
+// and what Execute and Compiled.Quality read of the network. The
+// network comes once, as its name, Transformer flag, Profile and
+// per-layer shape (name, kind, rows, cols, SigmaMul); the float
+// weights the codes were compiled from are compiler input only and
+// are not written, so a decoded plan's layers have nil Weights. Both
+// Compiled artifacts write every aliased pointer as an index —
 // LayerPlan.Layer as an index into Net.Layers, Wave.Plans as indices
 // into Compiled.Plans — so decoding rebuilds the exact sharing
 // structure Compile produced, not a deep-copied lookalike. Floats
@@ -45,14 +49,14 @@ import (
 // 1, 2 or 4 bytes: the smallest that holds every code, each code
 // little-endian and sign-extended on read. The encoding is canonical —
 // one plan has exactly one encoding — so a decoder rejects a code
-// width wider than its codes need, and a network length that
-// disagrees with the section it frames, as corrupt.
+// width wider than its codes need, and a payload with bytes left
+// after the AIM artifact, as corrupt.
 const (
 	// magic identifies a plan file; it never changes.
 	magic = "AIMPLAN1"
 	// FormatVersion is the container layout version. Bump it when the
 	// byte layout itself changes (new field, different framing).
-	FormatVersion = 2
+	FormatVersion = 3
 )
 
 // CodeVersion names the compiler/simulator generation a stored plan
@@ -67,7 +71,7 @@ const (
 // change (bump FormatVersion too in that case). Pure runtime knobs
 // (β, worker counts, fidelity tier) never require a bump: they are
 // outside the plan by design.
-const CodeVersion = "aim-plan-2"
+const CodeVersion = "aim-plan-3"
 
 // ErrCorrupt reports a plan file that failed structural or integrity
 // validation: wrong magic, truncation, a payload hash mismatch, or a
@@ -208,14 +212,6 @@ func Encode(k Key, p *core.Plan) ([]byte, error) {
 // cryptographically wrong; it never panics on hostile bytes. The
 // returned plan shares nothing with any other plan.
 func Decode(k Key, data []byte) (*core.Plan, error) {
-	return decode(k, data, nil)
-}
-
-// decode is Decode with a store's table of held networks: a plan whose
-// network section is byte-identical to one in nets adopts that network
-// instead of decoding its own, and a newly decoded network is added.
-// A nil table decodes every network.
-func decode(k Key, data []byte, nets *netTable) (*core.Plan, error) {
 	r := reader{data: data}
 	if string(r.bytes(len(magic))) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -244,22 +240,7 @@ func decode(k Key, data []byte, nets *netTable) (*core.Plan, error) {
 	}
 
 	pr := reader{data: payload}
-	section := pr.bytes(pr.length(1))
-	if pr.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, pr.err)
-	}
-	net := nets.lookup(section)
-	if net == nil {
-		nr := reader{data: section}
-		net = nr.network()
-		if nr.err == nil && nr.off != len(section) {
-			nr.fail("network section length %d, network ends at %d", len(section), nr.off)
-		}
-		if nr.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, nr.err)
-		}
-		net = nets.adopt(section, net)
-	}
+	net := pr.network()
 	baseline := pr.compiled(net)
 	aim := pr.compiled(net)
 	if pr.err != nil {
@@ -386,15 +367,6 @@ func (w *writer) floats(v []float64) {
 	}
 }
 
-func (w *writer) floatTensor(t *tensor.Float) {
-	w.bool(t != nil)
-	if t == nil {
-		return
-	}
-	w.ints(t.Shape)
-	w.floats(t.Data)
-}
-
 func (w *writer) intTensor(t *tensor.Int) {
 	w.ints(t.Shape)
 	w.int(t.Bits)
@@ -443,13 +415,9 @@ func (w *writer) file(id string, p *core.Plan) error {
 	return nil
 }
 
-// payload writes the length-prefixed network section, then both
-// compiled artifacts.
+// payload writes the network, then both compiled artifacts.
 func (w *writer) payload(p *core.Plan) error {
-	at := w.len()
-	w.u64(0)
 	w.network(p.Net)
-	w.patchU64(at, uint64(w.len()-at-8))
 	if err := w.compiled(p.Baseline, p.Net); err != nil {
 		return err
 	}
@@ -477,7 +445,6 @@ func (w *writer) network(n *model.Network) {
 		w.int(l.Rows)
 		w.int(l.Cols)
 		w.f64(l.SigmaMul)
-		w.floatTensor(l.Weights)
 	}
 }
 
@@ -563,7 +530,6 @@ func (w *writer) compiled(c *compiler.Compiled, net *model.Network) error {
 	w.f64(c.Stats.Max)
 	w.floats(c.Stats.PerLayer)
 	w.f64(c.Stats.MeanDrift)
-	w.f64(c.Drift)
 	return nil
 }
 
@@ -706,18 +672,6 @@ func (r *reader) floats() []float64 {
 	return out
 }
 
-func (r *reader) floatTensor() *tensor.Float {
-	if !r.bool() {
-		return nil
-	}
-	shape := r.ints()
-	data := r.floats()
-	if r.err != nil {
-		return nil
-	}
-	return &tensor.Float{Shape: shape, Data: data}
-}
-
 func (r *reader) intTensor() *tensor.Int {
 	shape := r.ints()
 	bits := r.int()
@@ -768,7 +722,9 @@ func (r *reader) network() *model.Network {
 	n.Profile.Acc.DriftFree = r.f64()
 	n.Profile.Acc.RegGain = r.f64()
 	n.Profile.Acc.PruneSens = r.f64()
-	nl := r.length(1)
+	// A layer takes at least 40 bytes: name length, kind, rows, cols
+	// and SigmaMul.
+	nl := r.length(40)
 	if r.err != nil {
 		return n
 	}
@@ -780,7 +736,6 @@ func (r *reader) network() *model.Network {
 		l.Rows = r.int()
 		l.Cols = r.int()
 		l.SigmaMul = r.f64()
-		l.Weights = r.floatTensor()
 		n.Layers = append(n.Layers, l)
 	}
 	return n
@@ -886,6 +841,5 @@ func (r *reader) compiled(net *model.Network) *compiler.Compiled {
 	c.Stats.Max = r.f64()
 	c.Stats.PerLayer = r.floats()
 	c.Stats.MeanDrift = r.f64()
-	c.Drift = r.f64()
 	return c
 }

@@ -97,10 +97,26 @@ func codeBlock(t testing.TB, payload []byte, codes []int32) int {
 	return i
 }
 
+// layerCount returns the offset of the network's layer count in a
+// hand-built payload (the count and the one layer's name are one
+// unique byte run).
+func layerCount(t testing.TB, payload []byte) int {
+	t.Helper()
+	run := binary.LittleEndian.AppendUint64(nil, 1)
+	run = binary.LittleEndian.AppendUint64(run, uint64(len("fc")))
+	run = append(run, "fc"...)
+	i := bytes.Index(payload, run)
+	if i < 0 {
+		t.Fatal("layer count not found in payload")
+	}
+	return i
+}
+
 // corruptCodecFiles returns hand-built files that are well framed and
 // hash-correct, yet break one payload rule each: a code width wider
 // than the codes need, a width byte that is no width, a truncated code
-// block, and a network length one byte off either way.
+// block, a layer count one too high, and a byte after the AIM
+// artifact.
 func corruptCodecFiles(t testing.TB) []namedFile {
 	t.Helper()
 	k := testKey("resnet18", 1)
@@ -112,13 +128,6 @@ func corruptCodecFiles(t testing.TB) []namedFile {
 	setWidth := func(width byte) func([]byte) []byte {
 		return func(p []byte) []byte {
 			p[codeBlock(t, p, codes)] = width
-			return p
-		}
-	}
-	shiftNetLen := func(delta int64) func([]byte) []byte {
-		return func(p []byte) []byte {
-			n := int64(binary.LittleEndian.Uint64(p))
-			binary.LittleEndian.PutUint64(p, uint64(n+delta))
 			return p
 		}
 	}
@@ -139,8 +148,13 @@ func corruptCodecFiles(t testing.TB) []namedFile {
 		{"truncated code block", reframe(t, data, func(p []byte) []byte {
 			return p[:codeBlock(t, p, codes)+1+8+len(codes)-1]
 		})},
-		{"network length +1", reframe(t, data, shiftNetLen(1))},
-		{"network length -1", reframe(t, data, shiftNetLen(-1))},
+		{"layer count +1", reframe(t, data, func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[layerCount(t, p):], 2)
+			return p
+		})},
+		{"trailing payload byte", reframe(t, data, func(p []byte) []byte {
+			return append(p, 0)
+		})},
 	}
 }
 
@@ -168,9 +182,10 @@ func TestCodeWidthRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		if !reflect.DeepEqual(decoded, plan) {
+		if !reflect.DeepEqual(decoded, weightless(plan)) {
 			t.Fatalf("width %d: decoded plan differs from the original", width)
 		}
+		checkDecodedPlan(t, decoded, plan)
 		again, err := Encode(k, decoded)
 		if err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("width %d: re-encoding differs (err %v)", width, err)

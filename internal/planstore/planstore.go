@@ -6,20 +6,23 @@
 // result in memory.
 //
 // Entries are addressed by the sha256 of everything the offline
-// compiler consumes — network, mode, bits, δ, seed — plus CodeVersion,
-// the compiler/simulator generation string. A process restart or a
-// second fleet replica therefore finds the plans its predecessors
-// compiled, turning the ~100ms-per-plan cold compile into a
-// millisecond-scale read+decode, while a code change that affects plan
-// content simply makes every stale entry unreachable instead of
-// silently serving wrong artifacts. Decoded plans are bit-exact
-// (floats round-trip as IEEE-754 bit patterns and aliased pointers are
-// rebuilt from indices), so Execute over a loaded plan is
-// byte-identical to Execute over a freshly compiled one. Plans loaded
-// through one Store share one decoded Network per distinct network
-// (see Store). Corrupt, truncated or stale entries are counted, swept
-// and treated as cache misses — the store degrades to "compile again",
-// never to an error on the serving path.
+// compiler consumes — network, mode, bits, δ, seed — plus
+// CodeVersion, the compiler/simulator generation string. A process
+// restart or a second fleet replica therefore finds the plans its
+// predecessors compiled, turning the ~100ms-per-plan cold compile
+// into a millisecond-scale read+decode, while a code change that
+// affects plan content simply makes every stale entry unreachable
+// instead of silently serving wrong artifacts. An entry holds the
+// compiled plan without the float weights it was compiled from, which
+// nothing after compile reads, so a decoded plan equals the compiled
+// one except that its layers' Weights are nil. Everything else is
+// bit-exact (floats round-trip as IEEE-754 bit patterns and aliased
+// pointers are rebuilt from indices), so Execute over a loaded plan
+// is byte-identical to Execute over a freshly compiled one. Plans
+// loaded through one Store share identical code tensors (see Store).
+// Corrupt, truncated or stale entries are counted, swept and treated
+// as cache misses — the store degrades to "compile again", never to
+// an error on the serving path.
 package planstore
 
 import (
@@ -27,11 +30,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"aim/internal/compiler"
 	"aim/internal/core"
-	"aim/internal/model"
+	"aim/internal/tensor"
 )
 
 // Key identifies one compiled plan: exactly the inputs the offline
@@ -89,17 +94,14 @@ type Stats struct {
 // serving runtime's singleflight cache), which asks the store at most
 // once per key.
 //
-// Plans loaded from one store may share their Network: the store keeps
-// one decoded *model.Network per distinct encoded network, and every
-// plan it decodes with that network adopts it instead of decoding the
-// weights again. A plan is read-only once built — its two stages
-// already share one Network, and the serving cache shares each plan
-// across concurrent requests — so sharing across plans is equally
-// safe. The table holds one entry per distinct network, a set the zoo
-// bounds, so it is never evicted.
+// Each decoded plan has its own Network, but plans loaded through one
+// store share every code tensor whose content a plan loaded before
+// already holds (see codeTable). A plan is read-only once built — the
+// serving cache shares each plan across concurrent requests — so
+// sharing its codes across plans is equally safe.
 type Store struct {
 	backend Backend
-	nets    netTable
+	codes   codeTable
 	stats   struct {
 		diskHits, misses  atomic.Int64
 		stale, corrupt    atomic.Int64
@@ -137,7 +139,7 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	p, err := decode(k, data, &s.nets)
+	p, err := Decode(k, data)
 	if err != nil {
 		// A bad entry is a miss, not a failure — but count it by
 		// kind and sweep it so the next restart is not fooled again.
@@ -150,6 +152,7 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
+	s.codes.share(p)
 	s.stats.diskHits.Add(1)
 	return p, true
 }
@@ -184,38 +187,43 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// netTable holds one decoded network per distinct network-section byte
-// string. A nil table holds nothing and adopts nothing.
-type netTable struct {
-	mu   sync.Mutex
-	nets map[string]*model.Network
+// codeTable holds one code tensor per distinct content among the plans
+// a store has decoded. A stage's codes depend only on the network, the
+// bit width, LHR and δ — a plan's baseline codes on the first two
+// alone — so plans that differ in mode, seed or δ repeat most of each
+// other's codes. The table keeps every tensor it records for the
+// store's lifetime, as the serving cache above it keeps every plan.
+type codeTable struct {
+	mu sync.Mutex
+	// held lists the recorded tensors by layer name.
+	held map[string][]*tensor.Int
 }
 
-// lookup returns the network already decoded from section, or nil.
-func (t *netTable) lookup(section []byte) *model.Network {
-	if t == nil {
-		return nil
-	}
+// share replaces each code tensor of p by an equal one the table
+// already holds, and records the others.
+func (t *codeTable) share(p *core.Plan) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.nets[string(section)]
+	if t.held == nil {
+		t.held = make(map[string][]*tensor.Int)
+	}
+	for _, c := range []*compiler.Compiled{p.Baseline, p.AIM} {
+		for _, lp := range c.Plans {
+			if lp.Quant != nil {
+				lp.Quant.Codes = t.intern(lp.Layer.Name, lp.Quant.Codes)
+			}
+		}
+	}
 }
 
-// adopt records net as the network decoded from section and returns
-// the one the table holds for it: net, unless a concurrent load
-// recorded its own first.
-func (t *netTable) adopt(section []byte, net *model.Network) *model.Network {
-	if t == nil {
-		return net
+// intern returns the tensor held for layer that equals codes,
+// recording codes if there is none.
+func (t *codeTable) intern(layer string, codes *tensor.Int) *tensor.Int {
+	for _, h := range t.held[layer] {
+		if h.Bits == codes.Bits && slices.Equal(h.Data, codes.Data) && slices.Equal(h.Shape, codes.Shape) {
+			return h
+		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if held, ok := t.nets[string(section)]; ok {
-		return held
-	}
-	if t.nets == nil {
-		t.nets = make(map[string]*model.Network)
-	}
-	t.nets[string(section)] = net
-	return net
+	t.held[layer] = append(t.held[layer], codes)
+	return codes
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"aim/internal/compiler"
 	"aim/internal/core"
 	"aim/internal/model"
 	"aim/internal/vf"
@@ -55,9 +56,10 @@ func TestRoundTripExecutesByteIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(decoded, plan) {
-				t.Fatal("decoded plan is not deeply equal to the compiled one")
+			if !reflect.DeepEqual(decoded, weightless(plan)) {
+				t.Fatal("decoded plan is not deeply equal to the compiled one minus its weights")
 			}
+			checkDecodedPlan(t, decoded, plan)
 			// Structural fidelity: re-encoding the decoded plan must
 			// reproduce the bytes exactly (the encoding is canonical).
 			data2, err := Encode(k, decoded)
@@ -98,6 +100,59 @@ func TestRoundTripExecutesByteIdentically(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// weightless returns a copy of p whose layers carry no float weights:
+// what a decoded plan must equal. p itself is left untouched, and the
+// copy keeps p's aliasing (layer plans point into the copied network,
+// waves into the copied plan slice).
+func weightless(p *core.Plan) *core.Plan {
+	net := *p.Net
+	net.Layers = make([]*model.Layer, len(p.Net.Layers))
+	layers := make(map[*model.Layer]*model.Layer, len(net.Layers))
+	for i, l := range p.Net.Layers {
+		c := *l
+		c.Weights = nil
+		net.Layers[i], layers[l] = &c, &c
+	}
+	stage := func(c *compiler.Compiled) *compiler.Compiled {
+		out := *c
+		out.Net = &net
+		out.Plans = make([]*compiler.LayerPlan, len(c.Plans))
+		plans := make(map[*compiler.LayerPlan]*compiler.LayerPlan, len(c.Plans))
+		for i, lp := range c.Plans {
+			cp := *lp
+			cp.Layer = layers[lp.Layer]
+			out.Plans[i], plans[lp] = &cp, &cp
+		}
+		out.Waves = make([]*compiler.Wave, len(c.Waves))
+		for i, wv := range c.Waves {
+			cw := *wv
+			cw.Plans = make([]*compiler.LayerPlan, len(wv.Plans))
+			for j, lp := range wv.Plans {
+				cw.Plans[j] = plans[lp]
+			}
+			out.Waves[i] = &cw
+		}
+		return &out
+	}
+	return &core.Plan{Net: &net, Baseline: stage(p.Baseline), AIM: stage(p.AIM)}
+}
+
+// checkDecodedPlan asserts what a decoded plan adds to deep equality
+// with its weightless original: no layer carries weights, and both
+// stages report the original's quality.
+func checkDecodedPlan(t testing.TB, decoded, plan *core.Plan) {
+	t.Helper()
+	for _, l := range decoded.Net.Layers {
+		if l.Weights != nil {
+			t.Fatalf("decoded layer %s carries float weights", l.Name)
+		}
+	}
+	if decoded.Baseline.Quality() != plan.Baseline.Quality() || decoded.AIM.Quality() != plan.AIM.Quality() {
+		t.Fatalf("decoded quality %v/%v, compiled %v/%v",
+			decoded.Baseline.Quality(), decoded.AIM.Quality(), plan.Baseline.Quality(), plan.AIM.Quality())
 	}
 }
 
@@ -196,32 +251,42 @@ func TestStoreCorruptEntryFallsBack(t *testing.T) {
 }
 
 // TestStoreStaleVersionFallsBack: an entry written by another
-// compiler generation (here: a hand-built header with an old code
-// version) is a counted miss, not an error — restart after an upgrade
-// recompiles.
+// compiler generation or container format (a hand-built header with an
+// old code version, or an old format version) is a counted, swept
+// miss, not an error — restart after an upgrade recompiles.
 func TestStoreStaleVersionFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey("resnet18", 1)
-	var w writer
-	w.buf = append(w.buf, magic...)
-	w.u32(FormatVersion)
-	w.str("aim-plan-0-ancient")
-	h := k.Hash()
-	if err := s.backend.Store(h, w.buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(k); ok {
-		t.Fatal("stale entry was served")
-	}
-	if st := s.Stats(); st.Stale != 1 {
-		t.Fatalf("stats = %+v, want Stale=1", st)
-	}
-	if _, err := s.backend.Load(h); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("stale entry was not swept: Load err = %v", err)
+	for _, c := range []struct {
+		name    string
+		format  uint32
+		version string
+	}{
+		{"old code version", FormatVersion, "aim-plan-0-ancient"},
+		{"old format version", FormatVersion - 1, CodeVersion},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := testKey("resnet18", 1)
+			var w writer
+			w.buf = append(w.buf, magic...)
+			w.u32(c.format)
+			w.str(c.version)
+			h := k.Hash()
+			if err := s.backend.Store(h, w.buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(k); ok {
+				t.Fatal("stale entry was served")
+			}
+			if st := s.Stats(); st.Stale != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want Stale=1 Misses=1", st)
+			}
+			if _, err := s.backend.Load(h); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("stale entry was not swept: Load err = %v", err)
+			}
+		})
 	}
 }
 
@@ -260,17 +325,19 @@ func TestStoreGetDecodesEveryTime(t *testing.T) {
 	}
 }
 
-// TestStoreSharesNetwork: two keys of one network loaded from one store
-// share a single decoded Network, and each still executes
-// byte-identically to its fresh compile — also when loaded and
-// executed concurrently (run under -race).
-func TestStoreSharesNetwork(t *testing.T) {
+// TestStoreConcurrentGets: two keys of one network loaded from one
+// store each equal their fresh compile minus the weights and execute
+// byte-identically to it — also when loaded and executed concurrently
+// (run under -race). The loads share every baseline code tensor (the
+// two seeds' baseline codes are equal) and no AIM one with it.
+func TestStoreConcurrentGets(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := []Key{testKey("resnet18", 1), testKey("resnet18", 2)}
+	plans := make([]*core.Plan, len(keys))
 	want := make([]reportValues, len(keys))
 	execute := func(k Key, p *core.Plan) reportValues {
 		pipe := core.NewPipeline(vf.LowPower)
@@ -278,9 +345,9 @@ func TestStoreSharesNetwork(t *testing.T) {
 		return stripPointers(pipe.Execute(p))
 	}
 	for i, k := range keys {
-		plan := compileTestPlan(t, k.Network, k.Seed)
-		want[i] = execute(k, plan)
-		if err := s.Put(k, plan); err != nil {
+		plans[i] = compileTestPlan(t, k.Network, k.Seed)
+		want[i] = execute(k, plans[i])
+		if err := s.Put(k, plans[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,13 +362,29 @@ func TestStoreSharesNetwork(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missed", k.ID())
 		}
+		if !reflect.DeepEqual(p, weightless(plans[i])) {
+			t.Fatalf("%s: loaded plan differs from the compiled one minus its weights", k.ID())
+		}
 		if got := execute(k, p); !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("%s executed differently after a shared load", k.ID())
+			t.Fatalf("%s executed differently after a load", k.ID())
 		}
 		loaded = append(loaded, p)
 	}
-	if loaded[0].Net != loaded[1].Net {
-		t.Fatal("plans of one network loaded from one store do not share their Network")
+	shared := 0
+	for i, lp := range loaded[1].Baseline.Plans {
+		if lp.Quant == nil {
+			continue
+		}
+		if lp.Quant.Codes != loaded[0].Baseline.Plans[i].Quant.Codes {
+			t.Fatalf("baseline codes of %s are not shared", lp.Layer.Name)
+		}
+		if loaded[1].AIM.Plans[i].Quant.Codes == lp.Quant.Codes {
+			t.Fatalf("%s: AIM codes share the baseline tensor", lp.Layer.Name)
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no code tensor to share")
 	}
 
 	s3, err := Open(dir)
@@ -310,7 +393,6 @@ func TestStoreSharesNetwork(t *testing.T) {
 	}
 	const goroutines = 4
 	got := make([]reportValues, goroutines)
-	nets := make([]*model.Network, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -322,15 +404,11 @@ func TestStoreSharesNetwork(t *testing.T) {
 				t.Errorf("%s missed", k.ID())
 				return
 			}
-			nets[g] = p.Net
 			got[g] = execute(k, p)
 		}(g)
 	}
 	wg.Wait()
 	for g := range got {
-		if nets[g] != nets[0] {
-			t.Fatal("concurrent loads of one network decoded separate copies")
-		}
 		if !reflect.DeepEqual(got[g], want[g%len(keys)]) {
 			t.Fatalf("goroutine %d executed differently", g)
 		}
