@@ -28,13 +28,15 @@ race:
 # Race stress: ten race-detector passes over the code several
 # goroutines reach at once — the serving cache's singleflight slots,
 # the HTTP drain gate racing concurrent submits, the plan store's
-# concurrent loads and executes, and the simulator's one wave executor
-# at five chunk shapes. One -race pass can miss an interleaving that
+# concurrent loads and executes, the simulator's one wave executor
+# at five chunk shapes, and spatial sessions racing to build one
+# drop-response table. One -race pass can miss an interleaving that
 # ten catch.
 race-stress:
 	$(GO) test -race -count=10 -run 'TestCache|TestHTTPGracefulDrain|TestHTTPDrainUnderConcurrentSubmits' ./internal/serve
 	$(GO) test -race -count=10 -run TestStoreConcurrentGets ./internal/planstore
 	$(GO) test -race -count=10 -run TestPackedFidelityParallelMatchesSerial ./internal/sim
+	$(GO) test -race -count=10 -run TestSpatialTableConcurrentFirstUse ./internal/irdrop
 
 # Fuzz smoke: a few seconds per native fuzz target on the three
 # hostile input boundaries — the HTTP submit decoder, the scenario-mix

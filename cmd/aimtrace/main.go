@@ -18,6 +18,7 @@ import (
 
 	"aim/internal/core"
 	"aim/internal/model"
+	"aim/internal/sim"
 	"aim/internal/vf"
 )
 
@@ -60,8 +61,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	p := core.NewPipeline(m)
 	p.Seed = *seed
-	before := p.RunStage(net, core.StageBaseline).Result
-	after := p.RunStage(net, core.StageBooster).Result
+	// Traces are opt-in (sim.DefaultOptions records none): run each
+	// stage with wave 0 traced.
+	traced := func(s core.Stage) sim.Result {
+		opt := p.SimOptions(s, net.Transformer)
+		opt.TraceWave = 0
+		return sim.Run(p.CompileStage(net, s), p.Chip, opt)
+	}
+	before := traced(core.StageBaseline)
+	after := traced(core.StageBooster)
 
 	n := len(before.DropTraceMV)
 	if len(after.DropTraceMV) < n {

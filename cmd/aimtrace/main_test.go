@@ -7,6 +7,7 @@ import (
 
 	"aim/internal/core"
 	"aim/internal/model"
+	"aim/internal/sim"
 	"aim/internal/vf"
 )
 
@@ -73,8 +74,13 @@ func TestSeedReachesModel(t *testing.T) {
 	}
 	p := core.NewPipeline(vf.LowPower)
 	p.Seed = s
-	before := p.RunStage(net, core.StageBaseline).Result
-	after := p.RunStage(net, core.StageBooster).Result
+	traced := func(st core.Stage) sim.Result {
+		opt := p.SimOptions(st, net.Transformer)
+		opt.TraceWave = 0
+		return sim.Run(p.CompileStage(net, st), p.Chip, opt)
+	}
+	before := traced(core.StageBaseline)
+	after := traced(core.StageBooster)
 	want := fmt.Sprintf("0,%.3f,%.3f,%.5f,%.5f,%.5f,%.5f",
 		before.DropTraceMV[0], after.DropTraceMV[0],
 		before.CurrentTrace[0], after.CurrentTrace[0],

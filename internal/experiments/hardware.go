@@ -240,9 +240,11 @@ func Fig17(seed int64) *Table {
 		s := stages[i]
 		p := core.NewPipeline(vf.LowPower)
 		p.Seed = seed
-		res := p.RunStage(net, s)
-		cur := res.Result.CurrentTrace
-		volt := res.Result.VoltageTrace
+		opt := p.SimOptions(s, net.Transformer)
+		opt.TraceWave = 0
+		res := sim.Run(p.CompileStage(net, s), p.Chip, opt)
+		cur := res.CurrentTrace
+		volt := res.VoltageTrace
 		minV := volt[0]
 		for _, v := range volt {
 			if v < minV {

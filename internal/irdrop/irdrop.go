@@ -60,9 +60,10 @@ func ModelFor(k pim.MacroKind) Model {
 // act[g] is group g's worst Rtog in [0,1], or negative when the group
 // is idle this cycle; drop[g] receives the estimated drop in
 // millivolts (idle groups get 0). Implementations may carry state
-// between cycles — the spatial estimator keeps a warm-started PDN
-// solver session — and are therefore NOT safe for concurrent use:
-// give each simulation shard its own instance.
+// between cycles — the spatial estimator keeps its held field and, on
+// large dies, a warm-started PDN solver session — and are therefore
+// NOT safe for concurrent use: give each simulation shard its own
+// instance.
 type DropEstimator interface {
 	EstimateGroups(act, drop []float64)
 }

@@ -31,18 +31,21 @@ const (
 	SpatialResidualNoiseFrac = 0.4
 
 	// spatialSolveTolV / spatialSolveMaxIter bound each per-window mesh
-	// solve. Warm-started from the previous window's field a V-cycle
-	// count of 1-2 suffices; the first solve of a session converges
-	// from cold within the iteration budget.
+	// solve on a die of more than maxTableTiles tiles (smaller dies read
+	// their drops off the response table and run no per-window solve).
+	// Warm-started from the previous window's field a V-cycle count of
+	// 1-2 suffices; the first solve of a session converges from cold
+	// within the iteration budget.
 	spatialSolveTolV    = 1e-4
 	spatialSolveMaxIter = 64
 
 	// spatialIncrTolV is the per-cycle convergence tolerance of an
-	// incremental session (SkipThreshold > 0). The V-cycle contracts
-	// error by roughly an order of magnitude per cycle, so stopping at
-	// a 1 mV last update leaves ~0.1 mV of true field error — an order
-	// under the skip gate's own DefaultSpatialSkipMV budget and two
-	// under the calibration band. The reference tolerance buys 10 µV
+	// incremental session (SkipThreshold > 0) on a die of more than
+	// maxTableTiles tiles. The V-cycle contracts error by roughly an
+	// order of magnitude per cycle, so stopping at a 1 mV last update
+	// leaves ~0.1 mV of true field error — an order under the skip
+	// gate's own DefaultSpatialSkipMV budget and two under the
+	// calibration band. The reference tolerance buys 10 µV
 	// accuracy nothing downstream can observe at one to two extra
 	// V-cycles per window; an armed session declines to pay for it.
 	spatialIncrTolV = 1e-3
@@ -58,18 +61,21 @@ const (
 	DefaultSpatialSkipMV = SpatialCalibrationBandMV / 10
 )
 
-// SolveStats counts one estimator session's mesh-solve work. The
-// incremental spatial tier turns most windows into skips; these
-// counters are what makes that observable — and what surfaces a solver
-// quietly saturating its iteration budget, which the pre-stats code
-// discarded.
+// SolveStats counts one estimator session's drop-estimation work. The
+// incremental spatial tier turns windows into skips; these counters are
+// what makes that observable — and what surfaces a mesh solver quietly
+// saturating its iteration budget, which the pre-stats code discarded.
 type SolveStats struct {
-	// Solves counts EstimateGroups calls that ran at least one V-cycle.
+	// Solves counts EstimateGroups calls whose drops were computed for
+	// the window's own activity — by the response table on a die of at
+	// most 16 tiles, by a mesh solve on a larger one.
 	Solves int64
 	// Skips counts calls answered from the held field: the injection
 	// map moved less than SkipThreshold since the last solved window.
 	Skips int64
-	// VCycles is the total V-cycle count across Solves.
+	// VCycles is the total mesh V-cycle count across Solves. It stays
+	// 0 on a die the response table serves: the table's own build
+	// solves are shared by every session and counted by none.
 	VCycles int64
 	// Saturated counts solves that exhausted the iteration budget
 	// without converging — silent accuracy loss unless watched.
@@ -85,17 +91,22 @@ func (s *SolveStats) Add(o SolveStats) {
 }
 
 // Spatial is the spatially-resolved DropEstimator: each cycle-window's
-// per-group activity becomes a die current-injection map, one
-// warm-started multigrid solve yields the voltage field, and every
-// group's drop is read back from its own floorplan tiles — so a
-// group's drop depends on where it sits and what its neighbours are
-// doing, the physics the analytic Model's NoiseMV term only
-// approximates statistically.
+// per-group activity sets a die current-injection map, and every
+// group's drop is the worst drop over its own floorplan tile of the
+// resulting voltage field — so a group's drop depends on where it sits
+// and what its neighbours are doing, the physics the analytic Model's
+// NoiseMV term only approximates statistically.
 //
-// A Spatial owns its pdn.Multigrid session and is NOT safe for
-// concurrent use; the simulator hands each wave shard its own and
-// Resets it at wave boundaries so results are independent of worker
-// count and execution order.
+// On a die of at most 16 tiles (the paper's chip) the field is summed
+// from a precomputed per-tile response table, d0 + Σ_t rtog_t·D_t,
+// shared by every session over the same die; a window costs tens of
+// microseconds and no mesh solve. A larger die runs one warm-started
+// multigrid solve per window instead.
+//
+// A Spatial owns its scratch (and, on a large die, its pdn.Multigrid
+// session) and is NOT safe for concurrent use; the simulator hands each
+// wave shard its own and Resets it at wave boundaries so results are
+// independent of worker count and execution order.
 type Spatial struct {
 	// SkipThreshold, in Rtog units, arms the window-skip gate: when no
 	// tile's injection activity moved by this much or more since the
@@ -112,14 +123,19 @@ type Spatial struct {
 	fp      *pdn.Floorplan
 	tileIdx []int // group → floorplan tile index
 	act     pdn.ActivityCurrents
-	mg      *pdn.Multigrid
 	rtog    []float64 // per-tile activity buffer
-	cur     []float64 // injection map buffer
+	// table answers a die of at most maxTableTiles tiles; acc is the
+	// per-tile scratch its sums accumulate in. A larger die leaves
+	// table nil and solves its injection map cur on mg instead.
+	table *responseTable
+	acc   []float64
+	mg    *pdn.Multigrid
+	cur   []float64
 	// solvedRtog/haveField are the dirty-state tracking between
 	// windows: the per-tile activity of the last map actually solved
 	// (not merely seen — comparing against the last seen map would let
-	// sub-threshold drift accumulate unboundedly) and whether field
-	// still answers it.
+	// sub-threshold drift accumulate unboundedly) and whether the held
+	// state (solvedRtog for the table, field for the mesh) answers it.
 	solvedRtog []float64
 	field      []float64 // last solved voltage field (aliases mg's cache)
 	haveField  bool
@@ -132,9 +148,12 @@ type Spatial struct {
 // NewSpatial builds a spatial estimator session over a floorplan.
 // tileIdx maps each macro group to its floorplan tile (the mapping
 // layer's Placement provides it); act supplies the calibrated current
-// densities. The floorplan's own Solver field is ignored — the session
-// keeps a private warm-started multigrid, so a shared geometry-only
-// floorplan (pdn.FloorplanAt) may back many sessions.
+// densities. The floorplan's own Solver field is ignored, so a shared
+// geometry-only floorplan (pdn.FloorplanAt) may back many sessions. On
+// a die of at most 16 tiles the session reads the process-wide
+// response table for (geometry, act), built by the first session to
+// ask — 17 cold solves, tens of milliseconds; a larger die gets a
+// private warm-started multigrid.
 func NewSpatial(fp *pdn.Floorplan, tileIdx []int, act pdn.ActivityCurrents) *Spatial {
 	// One group per tile: two groups sharing a tile would silently
 	// last-writer-win the injection value in EstimateGroups, making a
@@ -152,16 +171,22 @@ func NewSpatial(fp *pdn.Floorplan, tileIdx []int, act pdn.ActivityCurrents) *Spa
 		}
 		owner[ti] = g
 	}
-	return &Spatial{
+	s := &Spatial{
 		fp:           fp,
 		tileIdx:      tileIdx,
 		act:          act,
-		mg:           pdn.NewMultigrid(fp.Grid),
 		rtog:         make([]float64, len(fp.GroupTiles)),
-		cur:          make([]float64, fp.Grid.W*fp.Grid.H),
 		solvedRtog:   make([]float64, len(fp.GroupTiles)),
 		solveMaxIter: spatialSolveMaxIter,
 	}
+	if len(fp.GroupTiles) <= maxTableTiles {
+		s.table = responseTableFor(fp, act)
+		s.acc = make([]float64, s.table.maxCells())
+	} else {
+		s.mg = pdn.NewMultigrid(fp.Grid)
+		s.cur = make([]float64, fp.Grid.W*fp.Grid.H)
+	}
+	return s
 }
 
 // Groups returns how many groups the session places (the length
@@ -175,7 +200,9 @@ func (s *Spatial) Groups() int { return len(s.tileIdx) }
 // The SolveStats counters survive — they account for the session, not
 // a wave.
 func (s *Spatial) Reset() {
-	s.mg.Reset()
+	if s.mg != nil {
+		s.mg.Reset()
+	}
 	s.haveField = false
 }
 
@@ -185,8 +212,13 @@ func (s *Spatial) Reset() {
 // bit-identical for any value — the knob exists so a simulator that
 // already shards waves across the cores can keep its sessions' sweeps
 // serial instead of oversubscribing, while a serial simulation lets
-// its one session batch sweeps across the machine.
-func (s *Spatial) SetSolverWorkers(n int) { s.mg.Workers = n }
+// its one session batch sweeps across the machine. A session on the
+// response table runs no sweeps and ignores it.
+func (s *Spatial) SetSolverWorkers(n int) {
+	if s.mg != nil {
+		s.mg.Workers = n
+	}
+}
 
 // Stats returns the counters accumulated since construction or the
 // last TakeStats.
@@ -200,10 +232,12 @@ func (s *Spatial) TakeStats() SolveStats {
 	return st
 }
 
-// EstimateGroups implements DropEstimator: inject, solve, read back —
-// incrementally when SkipThreshold arms the gate. Idle groups
-// (act < 0) still draw their tile's static leakage but report drop 0,
-// matching the analytic default's accounting.
+// EstimateGroups implements DropEstimator: set the window's per-tile
+// activity, compute its field — summed from the response table, or
+// solved on the mesh — and read each group's drop back, incrementally
+// when SkipThreshold arms the gate. Idle groups (act < 0) still draw
+// their tile's static leakage but report drop 0, matching the analytic
+// default's accounting.
 func (s *Spatial) EstimateGroups(act, drop []float64) {
 	if len(act) != len(s.tileIdx) {
 		panic(fmt.Sprintf("irdrop: %d activities for %d placed groups", len(act), len(s.tileIdx)))
@@ -219,25 +253,43 @@ func (s *Spatial) EstimateGroups(act, drop []float64) {
 			s.rtog[s.tileIdx[g]] = a
 		}
 	}
-	// Skip gate: against the last *solved* map, so sub-threshold drift
-	// cannot accumulate across held windows. Strict <, so a threshold
-	// of 0 never skips.
-	if s.SkipThreshold > 0 && s.haveField {
-		moved := 0.0
-		for i, r := range s.rtog {
-			d := r - s.solvedRtog[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > moved {
-				moved = d
-			}
+	if s.skip() {
+		s.stats.Skips++
+	} else {
+		s.solve()
+	}
+	s.readDrops(act, drop)
+}
+
+// skip is the gate: against the last *solved* map, so sub-threshold
+// drift cannot accumulate across held windows. Strict <, so a threshold
+// of 0 never skips.
+func (s *Spatial) skip() bool {
+	if s.SkipThreshold <= 0 || !s.haveField {
+		return false
+	}
+	moved := 0.0
+	for i, r := range s.rtog {
+		d := r - s.solvedRtog[i]
+		if d < 0 {
+			d = -d
 		}
-		if moved < s.SkipThreshold {
-			s.stats.Skips++
-			s.readDrops(act, drop, s.field)
-			return
+		if d > moved {
+			moved = d
 		}
+	}
+	return moved < s.SkipThreshold
+}
+
+// solve makes the current window's activity the held state: on the
+// response table that is the activity itself; on a mesh it is the
+// field of one warm-started solve.
+func (s *Spatial) solve() {
+	s.stats.Solves++
+	copy(s.solvedRtog, s.rtog)
+	s.haveField = true
+	if s.table != nil {
+		return
 	}
 	s.fp.CurrentMapInto(s.cur, s.act, s.rtog)
 	tol := spatialSolveTolV
@@ -245,31 +297,33 @@ func (s *Spatial) EstimateGroups(act, drop []float64) {
 		tol = spatialIncrTolV
 	}
 	v, cycles, converged := s.mg.SolveFieldDelta(s.cur, tol, s.solveMaxIter)
-	s.stats.Solves++
 	s.stats.VCycles += int64(cycles)
 	if !converged {
 		s.stats.Saturated++
 	}
 	s.field = v
-	s.haveField = true
-	copy(s.solvedRtog, s.rtog)
-	s.readDrops(act, drop, v)
 }
 
-// readDrops reads each group's worst drop back from a voltage field.
-func (s *Spatial) readDrops(act, drop []float64, v []float64) {
+// readDrops reads each group's worst drop, in millivolts, off the held
+// state.
+func (s *Spatial) readDrops(act, drop []float64) {
 	grid := s.fp.Grid
 	for g, a := range act {
 		if a < 0 {
 			drop[g] = 0
 			continue
 		}
-		r := s.fp.GroupTiles[s.tileIdx[g]]
+		ti := s.tileIdx[g]
+		if s.table != nil {
+			drop[g] = s.table.worstDrop(ti, s.solvedRtog, s.acc) * 1000
+			continue
+		}
+		r := s.fp.GroupTiles[ti]
 		worst := 0.0
 		for y := r.Y0; y < r.Y1; y++ {
 			row := y * grid.W
 			for x := r.X0; x < r.X1; x++ {
-				if d := grid.Vdd - v[row+x]; d > worst {
+				if d := grid.Vdd - s.field[row+x]; d > worst {
 					worst = d
 				}
 			}

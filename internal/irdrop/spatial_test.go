@@ -9,9 +9,14 @@ import (
 )
 
 // defaultSpatial builds a 16-group session on the calibrated die.
-func defaultSpatial() *Spatial {
-	fp := pdn.FloorplanAt(1)
-	idx := make([]int, 16)
+func defaultSpatial() *Spatial { return spatialAt(1) }
+
+// spatialAt builds a session placing one group on every tile of the
+// scale-f die: f=1 is the 16-tile die the response table answers,
+// f=4 the 256-tile die that still solves the mesh per window.
+func spatialAt(f int) *Spatial {
+	fp := pdn.FloorplanAt(f)
+	idx := make([]int, len(fp.GroupTiles))
 	for i := range idx {
 		idx[i] = i
 	}

@@ -36,8 +36,9 @@ type Grid struct {
 	Gmesh float64
 	// Gpad is the conductance from a bump cell to the ideal supply.
 	Gpad float64
-	// pads marks bump locations.
-	pads []bool
+	// pads marks bump locations, every pitch cells (see NewGrid).
+	pads  []bool
+	pitch int
 
 	stOnce sync.Once
 	st     *stencil
@@ -58,7 +59,7 @@ func NewGrid(w, h int, vdd, gmesh, gpad float64, pitch int) *Grid {
 	if gmesh <= 0 || gpad <= 0 {
 		panic("pdn: non-positive conductance")
 	}
-	g := &Grid{W: w, H: h, Vdd: vdd, Gmesh: gmesh, Gpad: gpad, pads: make([]bool, w*h)}
+	g := &Grid{W: w, H: h, Vdd: vdd, Gmesh: gmesh, Gpad: gpad, pads: make([]bool, w*h), pitch: pitch}
 	n := 0
 	for y := pitch / 2; y < h; y += pitch {
 		for x := pitch / 2; x < w; x += pitch {
@@ -77,6 +78,11 @@ func (g *Grid) stencil() *stencil {
 	g.stOnce.Do(func() { g.st = newStencil(g) })
 	return g.st
 }
+
+// BumpPitch returns the bump array's pitch in cells: with W, H, Vdd,
+// Gmesh and Gpad it fixes the mesh, so two grids that agree on all six
+// solve identically.
+func (g *Grid) BumpPitch() int { return g.pitch }
 
 // PadCount returns the number of bump sites.
 func (g *Grid) PadCount() int {

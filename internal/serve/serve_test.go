@@ -364,8 +364,8 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 // TestSpatialSolverStatsThread: a served spatial request folds its
-// mesh-solve accounting into the server counters; non-spatial traffic
-// leaves them untouched.
+// drop-estimation accounting into the server counters; non-spatial
+// traffic leaves them untouched.
 func TestSpatialSolverStatsThread(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	defer s.Close()
@@ -381,8 +381,11 @@ func TestSpatialSolverStatsThread(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.SpatialSolves == 0 || st.SpatialVCycles < st.SpatialSolves {
+	if st.SpatialSolves == 0 || st.SpatialSaturated != 0 {
 		t.Errorf("spatial request did not surface solver stats: %+v", st)
+	}
+	if st.SpatialVCycles != 0 {
+		t.Errorf("16-tile spatial request ran %d mesh V-cycles, want the response table's 0", st.SpatialVCycles)
 	}
 	if st.SpatialSkips == 0 {
 		t.Errorf("band-wide skip threshold served without skips: %+v", st)

@@ -81,11 +81,12 @@ type waveScratch struct {
 	opIntN   int
 	opInt64N int
 	opFloatN int
-	// spatial is the shard's SpatialPDN estimator session: the PDN
-	// mesh, its warm-started multigrid hierarchy and the injection
-	// buffers, all of which would otherwise be rebuilt per wave. The
-	// session is Reset at every wave boundary, so pooling it never
-	// changes a solved bit — it only skips the hierarchy construction.
+	// spatial is the shard's SpatialPDN estimator session: its
+	// scratch and, on a die too large for the response table, the
+	// warm-started multigrid hierarchy and injection buffers, all of
+	// which would otherwise be rebuilt per wave. The session is Reset
+	// at every wave boundary, so pooling it never changes a solved
+	// bit — it only skips the construction.
 	spatial *irdrop.Spatial
 }
 
@@ -175,9 +176,8 @@ func (s *waveScratch) spatialEstimator(cfg pim.Config) *irdrop.Spatial {
 }
 
 // newSpatialEstimator places the chip's groups on the smallest die
-// that holds them (mapping.NewPlacement) and wraps the placement in a
-// warm-started mesh-solver session with the calibrated current
-// densities.
+// that holds them (mapping.NewPlacement) and wraps the placement in an
+// estimator session with the calibrated current densities.
 func newSpatialEstimator(cfg pim.Config) *irdrop.Spatial {
 	pl := mapping.NewPlacement(cfg)
 	return irdrop.NewSpatial(pl.Floorplan(), pl.TileIndices(), pdn.DefaultActivity())

@@ -38,9 +38,9 @@ type Runtime struct {
 	// Fidelity selects the modelling tier: AnalyticToggles (default,
 	// rtog = flip-intensity × HR, scalar Eq. 2 drops), PackedToggles
 	// (the word-wise Eq. 1 engine over synthetic packed weight banks)
-	// or SpatialPDN (packed activity feeding per-cycle-window
-	// multigrid solves of the power-delivery mesh, drops read from
-	// each group's floorplan tiles).
+	// or SpatialPDN (packed activity setting the power-delivery
+	// mesh's drop field once per cycle-window, drops read from each
+	// group's floorplan tiles).
 	Fidelity Fidelity
 	// SpatialWindow is the SpatialPDN solve cadence in cycles (0 =
 	// DefaultSpatialWindow). Within a window the solved field is held,
@@ -108,6 +108,9 @@ type Options struct {
 	// Seed drives all stochastic components.
 	Seed int64
 	// TraceWave, when >= 0, records per-cycle traces for that wave.
+	// DefaultOptions leaves it at -1: a served report carries no
+	// traces, and the callers that plot them (Fig. 17, aimtrace) set
+	// it to 0.
 	TraceWave int
 	// Warm, when non-nil, pools the per-chunk scratch across Run calls
 	// (a serving runtime executing many requests) at every worker
@@ -124,7 +127,7 @@ func DefaultOptions(transformer bool, mode vf.Mode) Options {
 		Runtime: Runtime{Beta: 50}, CyclesPerWave: 400, Mode: mode,
 		UseBooster: true, Aggressive: true,
 		ToggleMean: 0.54, ToggleSigma: 0.16,
-		Seed: 1, TraceWave: 0,
+		Seed: 1, TraceWave: -1,
 	}
 	if transformer {
 		o.ToggleMean, o.ToggleSigma = 0.68, 0.17
@@ -166,7 +169,7 @@ type Result struct {
 	// weighted over occupied groups and cycles — the "mitigation
 	// ability" axis of Fig. 18 derives from it.
 	AvgLevelRtog float64
-	// SpatialSolve summarizes the SpatialPDN tier's mesh-solve work,
+	// SpatialSolve summarizes the SpatialPDN tier's drop-estimation work,
 	// weighted by wave Rounds like Cycles (so solves-per-cycle ratios
 	// are meaningful). Zero at the other fidelity tiers. A nonzero
 	// Saturated is the signal that the solver's iteration budget is

@@ -148,9 +148,20 @@ func TestBetaTradeoff(t *testing.T) {
 	}
 }
 
+// TestTracesRecorded: TraceWave 0 records wave 0's per-cycle traces,
+// -1 records none, and DefaultOptions — what every served request
+// runs — records none.
 func TestTracesRecorded(t *testing.T) {
 	_, aim, net := compileBoth(t, "resnet18")
-	opt := DefaultOptions(net.Transformer, vf.LowPower)
+	def := DefaultOptions(net.Transformer, vf.LowPower)
+	if def.TraceWave != -1 {
+		t.Errorf("DefaultOptions TraceWave = %d, want -1 (no traces)", def.TraceWave)
+	}
+	if res := Run(aim, pim.DefaultConfig(), def); res.DropTraceMV != nil || res.CurrentTrace != nil || res.VoltageTrace != nil {
+		t.Error("DefaultOptions recorded traces")
+	}
+	opt := def
+	opt.TraceWave = 0
 	res := Run(aim, pim.DefaultConfig(), opt)
 	if len(res.DropTraceMV) != opt.CyclesPerWave {
 		t.Fatalf("drop trace length = %d, want %d", len(res.DropTraceMV), opt.CyclesPerWave)
@@ -182,6 +193,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	serialOpt := DefaultOptions(net.Transformer, vf.LowPower)
 	serialOpt.Parallel = 1
+	serialOpt.TraceWave = 0
 	serial := Run(aim, cfg, serialOpt)
 	for _, workers := range []int{0, 2, 4, 7} {
 		opt := serialOpt

@@ -29,12 +29,14 @@ const (
 	PackedToggles
 	// SpatialPDN is the top tier: PackedToggles activity feeding the
 	// spatially-resolved drop estimator — per cycle-window the group
-	// activity vector becomes a die current map, one warm-started
-	// multigrid V-cycle solves the power-delivery mesh, and each
-	// group's drop is read from its own floorplan tiles, so real
-	// neighbour coupling replaces most of the analytic NoiseMV term.
-	// Each wave shard owns its own solver session; results are
-	// bit-identical for any worker count.
+	// activity vector sets the die's current map, the power-delivery
+	// mesh's drop field follows (summed from a shared per-tile
+	// response table on the 16-group die, a warm-started multigrid
+	// solve on larger ones), and each group's drop is read from its
+	// own floorplan tiles, so real neighbour coupling replaces most of
+	// the analytic NoiseMV term. Each wave shard owns its own
+	// estimator session; results are bit-identical for any worker
+	// count.
 	SpatialPDN
 )
 

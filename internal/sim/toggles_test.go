@@ -116,6 +116,7 @@ func TestPackedFidelityParallelMatchesSerial(t *testing.T) {
 	opt.CyclesPerWave = 120
 	opt.Fidelity = PackedToggles
 	opt.Parallel = 1
+	opt.TraceWave = 0
 	serial := Run(aim, pim.DefaultConfig(), opt)
 	for _, workers := range []int{0, 2, 3, 5, len(aim.Waves)} {
 		opt.Parallel = workers

@@ -49,7 +49,7 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 	numOps := len(w.Plans)
 
 	// The estimator layer. The analytic Model is the default tier;
-	// SpatialPDN swaps in the shard's warm-started PDN session, solved
+	// SpatialPDN swaps in the shard's PDN estimator session, evaluated
 	// once per cycle-window, with the residual noise sigma replacing
 	// NoiseMV (the mesh resolves the placement and coupling effects
 	// NoiseMV lumps together).
