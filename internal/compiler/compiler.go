@@ -80,7 +80,10 @@ func BaselineOptions() Options {
 // LayerPlan is one operator after quantization and segmentation.
 type LayerPlan struct {
 	Layer *model.Layer
-	// Quant holds the deployed codes (nil for input-determined ops).
+	// Quant holds the deployed codes. It is nil for input-determined
+	// ops and in every plan decoded from the plan store: execution
+	// draws its codes from HR, so only the experiments read Quant, and
+	// only on fresh compiles.
 	Quant *quant.Quantized
 	// HR is the deployed Hamming rate (1.0 sentinel for
 	// input-determined operators: worst case must be assumed).

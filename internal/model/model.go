@@ -80,7 +80,8 @@ type Layer struct {
 	// Weights holds sampled synthetic weights for weight-stationary
 	// operators (nil for input-determined ones). Only the offline
 	// quantize pass reads them; a plan decoded from the plan store
-	// does not carry them, so its layers' Weights are nil.
+	// carries neither them nor the codes quantized from them, so its
+	// layers' Weights are nil.
 	Weights *tensor.Float
 	// SigmaMul is the per-layer width multiplier applied to the model's
 	// base distribution; recorded for reproducibility.

@@ -43,10 +43,9 @@ func BenchmarkPlanDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGet pins what a restarted server pays per key once the
-// store holds the key's code tensors: a directory read, a full decode
-// and a swap of each code tensor for the equal one held. Two keys of
-// one network alternate, and every Get reads the disk.
+// BenchmarkStoreGet pins what a restarted server pays per key: a
+// directory read, the header and integrity checks and a full decode.
+// Two keys of one network alternate, and every Get reads the disk.
 func BenchmarkStoreGet(b *testing.B) {
 	for _, network := range restartNetworks {
 		b.Run(network, func(b *testing.B) {

@@ -17,11 +17,10 @@ import (
 	"aim/internal/model"
 	"aim/internal/pim"
 	"aim/internal/quant"
-	"aim/internal/tensor"
 	"aim/internal/vf"
 )
 
-// The on-disk container (format 3) is
+// The on-disk container (format 4) is
 //
 //	magic "AIMPLAN1" | u32 format version | code-version string |
 //	key id string | u64 payload length | payload | sha256(payload)
@@ -30,33 +29,33 @@ import (
 //
 //	network | baseline Compiled | AIM Compiled
 //
-// It holds the deployed artifact — codes, HR, waves and mappings —
-// and what Execute and Compiled.Quality read of the network. The
-// network comes once, as its name, Transformer flag, Profile and
-// per-layer shape (name, kind, rows, cols, SigmaMul); the float
-// weights the codes were compiled from are compiler input only and
-// are not written, so a decoded plan's layers have nil Weights. Both
-// Compiled artifacts write every aliased pointer as an index —
-// LayerPlan.Layer as an index into Net.Layers, Wave.Plans as indices
-// into Compiled.Plans — so decoding rebuilds the exact sharing
-// structure Compile produced, not a deep-copied lookalike. Floats
-// travel as IEEE-754 bit patterns (math.Float64bits), so a decoded
-// plan is bit-exact, and Execute on it is byte-identical to Execute
-// on the freshly compiled original.
+// It holds what Execute and Compiled.Quality read: per layer plan the
+// Hamming rate, WDS δ, segment count and wave rounds; the waves with
+// their tasks and mappings; and the HR statistics. The network comes
+// once, as its name, Transformer flag, Profile and per-layer shape
+// (name, kind, rows, cols, SigmaMul). The float weights and the weight
+// codes compiled from them are not written: the simulator draws its
+// codes from each task's HR, so nothing after compile reads either,
+// and a decoded plan's layers have nil Weights and its layer plans a
+// nil Quant. A file's size therefore depends on the network's layer
+// and wave structure, never on its weight count. Both Compiled
+// artifacts write every aliased pointer as an index — LayerPlan.Layer
+// as an index into Net.Layers, Wave.Plans as indices into
+// Compiled.Plans — so decoding rebuilds the exact sharing structure
+// Compile produced, not a deep-copied lookalike. Floats travel as
+// IEEE-754 bit patterns (math.Float64bits), so a decoded plan is
+// bit-exact, and Execute on it is byte-identical to Execute on the
+// freshly compiled original.
 //
-// A code tensor (tensor.Int) is written as its shape, its bit width,
-// one code-width byte, the code count and the codes. The code width is
-// 1, 2 or 4 bytes: the smallest that holds every code, each code
-// little-endian and sign-extended on read. The encoding is canonical —
-// one plan has exactly one encoding — so a decoder rejects a code
-// width wider than its codes need, and a payload with bytes left
-// after the AIM artifact, as corrupt.
+// The encoding is canonical — one plan has exactly one encoding — so
+// a decoder rejects a payload with bytes left after the AIM artifact
+// as corrupt.
 const (
 	// magic identifies a plan file; it never changes.
 	magic = "AIMPLAN1"
 	// FormatVersion is the container layout version. Bump it when the
 	// byte layout itself changes (new field, different framing).
-	FormatVersion = 3
+	FormatVersion = 4
 )
 
 // CodeVersion names the compiler/simulator generation a stored plan
@@ -71,7 +70,7 @@ const (
 // change (bump FormatVersion too in that case). Pure runtime knobs
 // (β, worker counts, fidelity tier) never require a bump: they are
 // outside the plan by design.
-const CodeVersion = "aim-plan-3"
+const CodeVersion = "aim-plan-4"
 
 // ErrCorrupt reports a plan file that failed structural or integrity
 // validation: wrong magic, truncation, a payload hash mismatch, or a
@@ -252,22 +251,6 @@ func Decode(k Key, data []byte) (*core.Plan, error) {
 	return &core.Plan{Net: net, Baseline: baseline, AIM: aim}, nil
 }
 
-// codeWidth is the smallest width in bytes — 1, 2 or 4 — that holds
-// every code: the canonical width a code tensor is written at.
-func codeWidth(codes []int32) int {
-	lo, hi := int32(0), int32(0)
-	for _, c := range codes {
-		lo, hi = min(lo, c), max(hi, c)
-	}
-	switch {
-	case lo >= math.MinInt8 && hi <= math.MaxInt8:
-		return 1
-	case lo >= math.MinInt16 && hi <= math.MaxInt16:
-		return 2
-	}
-	return 4
-}
-
 // ---- writer ----
 
 // writer produces the little-endian encoding. Encode runs it twice
@@ -367,32 +350,6 @@ func (w *writer) floats(v []float64) {
 	}
 }
 
-func (w *writer) intTensor(t *tensor.Int) {
-	w.ints(t.Shape)
-	w.int(t.Bits)
-	width := codeWidth(t.Data)
-	w.u8(byte(width))
-	w.u64(uint64(len(t.Data)))
-	b := w.put(width * len(t.Data))
-	if b == nil {
-		return
-	}
-	switch width {
-	case 1:
-		for i, c := range t.Data {
-			b[i] = byte(c)
-		}
-	case 2:
-		for i, c := range t.Data {
-			binary.LittleEndian.PutUint16(b[2*i:], uint16(c))
-		}
-	default:
-		for i, c := range t.Data {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(c))
-		}
-	}
-}
-
 // file writes the whole container: the envelope, the payload, then
 // the payload's length and hash once both are known.
 func (w *writer) file(id string, p *core.Plan) error {
@@ -484,11 +441,6 @@ func (w *writer) compiled(c *compiler.Compiled, net *model.Network) error {
 			return fmt.Errorf("planstore: plan %d references a layer outside the network", i)
 		}
 		w.int(li)
-		w.bool(p.Quant != nil)
-		if p.Quant != nil {
-			w.intTensor(p.Quant.Codes)
-			w.f64(p.Quant.Scale)
-		}
 		w.f64(p.HR)
 		w.int(p.Delta)
 		w.int(p.Segments)
@@ -672,42 +624,6 @@ func (r *reader) floats() []float64 {
 	return out
 }
 
-func (r *reader) intTensor() *tensor.Int {
-	shape := r.ints()
-	bits := r.int()
-	width := int(r.u8())
-	if r.err == nil && width != 1 && width != 2 && width != 4 {
-		r.fail("code width %d at offset %d (want 1, 2 or 4)", width, r.off-1)
-	}
-	if r.err != nil {
-		return nil
-	}
-	n, b := r.words(width)
-	if b == nil {
-		return nil
-	}
-	data := make([]int32, n)
-	switch width {
-	case 1:
-		for i := range data {
-			data[i] = int32(int8(b[i]))
-		}
-	case 2:
-		for i := range data {
-			data[i] = int32(int16(binary.LittleEndian.Uint16(b[2*i:])))
-		}
-	default:
-		for i := range data {
-			data[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-	}
-	if width > 1 && codeWidth(data) != width {
-		r.fail("code width %d where %d holds every code", width, codeWidth(data))
-		return nil
-	}
-	return &tensor.Int{Shape: shape, Data: data, Bits: bits}
-}
-
 func (r *reader) network() *model.Network {
 	n := &model.Network{}
 	n.Name = r.str()
@@ -757,7 +673,9 @@ func (r *reader) compiled(net *model.Network) *compiler.Compiled {
 	c.Options.Mode = vf.Mode(r.int())
 	c.Options.Seed = r.i64()
 
-	np := r.length(1)
+	// A layer plan takes 40 bytes: layer index, HR, Delta, Segments
+	// and WaveRounds.
+	np := r.length(40)
 	if r.err != nil {
 		return c
 	}
@@ -770,13 +688,6 @@ func (r *reader) compiled(net *model.Network) *compiler.Compiled {
 				r.fail("layer index %d out of range [0,%d)", li, len(net.Layers))
 			} else {
 				p.Layer = net.Layers[li]
-			}
-		}
-		if r.bool() {
-			codes := r.intTensor()
-			scale := r.f64()
-			if r.err == nil {
-				p.Quant = &quant.Quantized{Codes: codes, Scale: scale}
 			}
 		}
 		p.HR = r.f64()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,22 +19,25 @@ import (
 	"aim/internal/tensor"
 )
 
-// handPlan builds a one-layer plan whose codes are exactly codes. Every
-// zoo plan's codes fit one byte, so the wider code widths are only
-// reachable through a plan built by hand.
-func handPlan(codes []int32) *core.Plan {
-	weights := make([]float64, len(codes))
-	for i, c := range codes {
-		weights[i] = float64(c) / 2
+// handPlan builds a one-layer plan whose layer holds n weights,
+// quantized to 8-bit codes. Only the weight count (and with it the
+// layer's Cols) varies with n: the HRs, waves and mappings are the
+// same for every n.
+func handPlan(n int) *core.Plan {
+	weights := make([]float64, n)
+	codes := make([]int32, n)
+	for i := range codes {
+		codes[i] = int32(i%255 - 127)
+		weights[i] = float64(codes[i]) / 2
 	}
 	net := &model.Network{Name: "hand", Layers: []*model.Layer{{
-		Name: "fc", Kind: model.Conv, Rows: 1, Cols: len(codes), SigmaMul: 1,
-		Weights: &tensor.Float{Shape: []int{1, len(codes)}, Data: weights},
+		Name: "fc", Kind: model.Conv, Rows: 1, Cols: n, SigmaMul: 1,
+		Weights: &tensor.Float{Shape: []int{1, n}, Data: weights},
 	}}}
 	stage := func() *compiler.Compiled {
 		lp := &compiler.LayerPlan{
 			Layer: net.Layers[0],
-			Quant: &quant.Quantized{Codes: &tensor.Int{Shape: []int{1, len(codes)}, Data: codes, Bits: 8}, Scale: 0.5},
+			Quant: &quant.Quantized{Codes: &tensor.Int{Shape: []int{1, n}, Data: codes, Bits: 8}, Scale: 0.5},
 			HR:    0.25, Segments: 1, WaveRounds: 1,
 		}
 		return &compiler.Compiled{
@@ -50,16 +54,6 @@ func handPlan(codes []int32) *core.Plan {
 		}
 	}
 	return &core.Plan{Net: net, Baseline: stage(), AIM: stage()}
-}
-
-// handCodes are code sets with each canonical width.
-var handCodes = []struct {
-	width int
-	codes []int32
-}{
-	{1, []int32{1, -2, 3, 127, -128}},
-	{2, []int32{1, -2, 3, 128, -32768}},
-	{4, []int32{1, -2, 3, 32768, -2147483648}},
 }
 
 // reframe rebuilds an encoded file around an edited copy of its
@@ -80,19 +74,21 @@ func reframe(t testing.TB, data []byte, edit func(payload []byte) []byte) []byte
 	return append(out, sum[:]...)
 }
 
-// codeBlock returns the offset of the first code tensor's width byte
-// for codes written at width 1 (the width byte, the count and the
-// codes are one unique byte run in a hand-built payload).
-func codeBlock(t testing.TB, payload []byte, codes []int32) int {
-	t.Helper()
-	run := []byte{1}
-	run = binary.LittleEndian.AppendUint64(run, uint64(len(codes)))
-	for _, c := range codes {
-		run = append(run, byte(c))
+// u64s is the little-endian encoding of vs, one u64 each.
+func u64s(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
+	return b
+}
+
+// find returns the offset of run's first occurrence in payload.
+func find(t testing.TB, payload, run []byte, what string) int {
+	t.Helper()
 	i := bytes.Index(payload, run)
 	if i < 0 {
-		t.Fatal("code block not found in payload")
+		t.Fatalf("%s not found in payload", what)
 	}
 	return i
 }
@@ -102,56 +98,61 @@ func codeBlock(t testing.TB, payload []byte, codes []int32) int {
 // unique byte run).
 func layerCount(t testing.TB, payload []byte) int {
 	t.Helper()
-	run := binary.LittleEndian.AppendUint64(nil, 1)
-	run = binary.LittleEndian.AppendUint64(run, uint64(len("fc")))
-	run = append(run, "fc"...)
-	i := bytes.Index(payload, run)
-	if i < 0 {
-		t.Fatal("layer count not found in payload")
-	}
-	return i
+	return find(t, payload, append(u64s(1, uint64(len("fc"))), "fc"...), "layer count")
+}
+
+// planCount returns the offset of the baseline stage's plan count in a
+// hand-built payload: the count and the one layer plan (layer 0, HR
+// 0.25, δ 0, one segment, one wave round) are one unique byte run.
+func planCount(t testing.TB, payload []byte) int {
+	t.Helper()
+	return find(t, payload, u64s(1, 0, math.Float64bits(0.25), 0, 1, 1), "plan count")
+}
+
+// waveCount returns the offset of the baseline stage's wave count in a
+// hand-built payload: the count, the wave's plan count, its plan index
+// and its task count are one unique byte run.
+func waveCount(t testing.TB, payload []byte) int {
+	t.Helper()
+	return find(t, payload, u64s(1, 1, 0, 2), "wave count")
 }
 
 // corruptCodecFiles returns hand-built files that are well framed and
-// hash-correct, yet break one payload rule each: a code width wider
-// than the codes need, a width byte that is no width, a truncated code
-// block, a layer count one too high, and a byte after the AIM
-// artifact.
+// hash-correct, yet break one payload rule each: a count one too high
+// in the network, plan, wave and task sections, an index out of range,
+// a payload cut inside the plans or the waves, and a byte after the
+// AIM artifact.
 func corruptCodecFiles(t testing.TB) []namedFile {
 	t.Helper()
-	k := testKey("resnet18", 1)
-	codes := handCodes[0].codes
-	data, err := Encode(k, handPlan(codes))
+	data, err := Encode(testKey("resnet18", 1), handPlan(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	setWidth := func(width byte) func([]byte) []byte {
+	// set returns an edit that writes v over the word-th u64 after
+	// the offset at finds.
+	set := func(at func(testing.TB, []byte) int, word int, v uint64) func([]byte) []byte {
 		return func(p []byte) []byte {
-			p[codeBlock(t, p, codes)] = width
+			binary.LittleEndian.PutUint64(p[at(t, p)+8*word:], v)
 			return p
 		}
 	}
+	// cut returns an edit that ends the payload n bytes past the
+	// offset at finds.
+	cut := func(at func(testing.TB, []byte) int, n int) func([]byte) []byte {
+		return func(p []byte) []byte { return p[:at(t, p)+n] }
+	}
 	return []namedFile{
-		{"width 0", reframe(t, data, setWidth(0))},
-		{"width 3", reframe(t, data, setWidth(3))},
-		{"width 5", reframe(t, data, setWidth(5))},
-		{"non-minimal width", reframe(t, data, func(p []byte) []byte {
-			at := codeBlock(t, p, codes)
-			wide := append([]byte(nil), p[:at]...)
-			wide = append(wide, 2)
-			wide = binary.LittleEndian.AppendUint64(wide, uint64(len(codes)))
-			for _, c := range codes {
-				wide = binary.LittleEndian.AppendUint16(wide, uint16(c))
-			}
-			return append(wide, p[at+1+8+len(codes):]...)
-		})},
-		{"truncated code block", reframe(t, data, func(p []byte) []byte {
-			return p[:codeBlock(t, p, codes)+1+8+len(codes)-1]
-		})},
-		{"layer count +1", reframe(t, data, func(p []byte) []byte {
-			binary.LittleEndian.PutUint64(p[layerCount(t, p):], 2)
-			return p
-		})},
+		{"layer count +1", reframe(t, data, set(layerCount, 0, 2))},
+		{"plan count +1", reframe(t, data, set(planCount, 0, 2))},
+		{"plan layer index out of range", reframe(t, data, set(planCount, 1, 1))},
+		{"wave count +1", reframe(t, data, set(waveCount, 0, 2))},
+		{"wave plan index out of range", reframe(t, data, set(waveCount, 2, 1))},
+		{"task count +1", reframe(t, data, set(waveCount, 3, 3))},
+		{"truncated plan block", reframe(t, data, cut(planCount, 8+20))},
+		// Past the counts, the plan index, two 27-byte tasks and the
+		// 24-byte assignment, into the third word of the mapping's
+		// config.
+		{"truncated wave block", reframe(t, data, cut(waveCount, 8*4+2*27+24+20))},
 		{"trailing payload byte", reframe(t, data, func(p []byte) []byte {
 			return append(p, 0)
 		})},
@@ -164,35 +165,35 @@ type namedFile struct {
 	data []byte
 }
 
-// TestCodeWidthRoundTrip: plans whose codes need each width round-trip
-// exactly, and each is written at its minimal width.
-func TestCodeWidthRoundTrip(t *testing.T) {
+// TestPlanBytesIndependentOfWeights: a plan file holds no weights and
+// no codes, so two plans that differ only in their layer's weight
+// count encode to files of one length, and each round-trips to its
+// plan without them.
+func TestPlanBytesIndependentOfWeights(t *testing.T) {
 	k := testKey("resnet18", 1)
-	for _, h := range handCodes {
-		width, codes := h.width, h.codes
-		if got := codeWidth(codes); got != width {
-			t.Fatalf("codeWidth(%v) = %d, want %d", codes, got, width)
-		}
-		plan := handPlan(codes)
+	var sizes []int
+	for _, n := range []int{5, 5000} {
+		plan := handPlan(n)
 		data, err := Encode(k, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decoded, err := Decode(k, data)
 		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+			t.Fatalf("%d weights: %v", n, err)
 		}
-		if !reflect.DeepEqual(decoded, weightless(plan)) {
-			t.Fatalf("width %d: decoded plan differs from the original", width)
+		if !reflect.DeepEqual(decoded, withoutWeightsAndCodes(plan)) {
+			t.Fatalf("%d weights: decoded plan differs from the original minus its weights and codes", n)
 		}
 		checkDecodedPlan(t, decoded, plan)
 		again, err := Encode(k, decoded)
 		if err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("width %d: re-encoding differs (err %v)", width, err)
+			t.Fatalf("%d weights: re-encoding differs (err %v)", n, err)
 		}
+		sizes = append(sizes, len(data))
 	}
-	if got := codeWidth(nil); got != 1 {
-		t.Fatalf("codeWidth(nil) = %d, want 1", got)
+	if sizes[0] != sizes[1] {
+		t.Fatalf("plan files of 5 and 5000 weights are %d and %d bytes, want one length", sizes[0], sizes[1])
 	}
 }
 

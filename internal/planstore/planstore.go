@@ -9,20 +9,21 @@
 // compiler consumes — network, mode, bits, δ, seed — plus
 // CodeVersion, the compiler/simulator generation string. A process
 // restart or a second fleet replica therefore finds the plans its
-// predecessors compiled, turning the ~100ms-per-plan cold compile
-// into a millisecond-scale read+decode, while a code change that
-// affects plan content simply makes every stale entry unreachable
-// instead of silently serving wrong artifacts. An entry holds the
-// compiled plan without the float weights it was compiled from, which
-// nothing after compile reads, so a decoded plan equals the compiled
-// one except that its layers' Weights are nil. Everything else is
-// bit-exact (floats round-trip as IEEE-754 bit patterns and aliased
-// pointers are rebuilt from indices), so Execute over a loaded plan
-// is byte-identical to Execute over a freshly compiled one. Plans
-// loaded through one Store share identical code tensors (see Store).
-// Corrupt, truncated or stale entries are counted, swept and treated
-// as cache misses — the store degrades to "compile again", never to
-// an error on the serving path.
+// predecessors compiled, turning a 24–32 ms AIM-stage compile of a
+// served network (BenchmarkCompileStage) into a 0.15–0.23 ms read and
+// decode of its whole plan (BenchmarkStoreGet; both on a 2-vCPU Xeon),
+// while a code change that affects plan content simply makes every
+// stale entry unreachable instead of silently serving wrong
+// artifacts. An entry holds what Execute reads of the compiled plan:
+// neither the float weights nor the weight codes compiled from them,
+// which nothing after compile reads, so a decoded plan equals the
+// compiled one except that its layers' Weights and its layer plans'
+// Quant are nil. Everything else is bit-exact (floats round-trip as
+// IEEE-754 bit patterns and aliased pointers are rebuilt from
+// indices), so Execute over a loaded plan is byte-identical to
+// Execute over a freshly compiled one. Corrupt, truncated or stale
+// entries are counted, swept and treated as cache misses — the store
+// degrades to "compile again", never to an error on the serving path.
 package planstore
 
 import (
@@ -30,13 +31,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 
-	"aim/internal/compiler"
 	"aim/internal/core"
-	"aim/internal/tensor"
 )
 
 // Key identifies one compiled plan: exactly the inputs the offline
@@ -93,15 +90,8 @@ type Stats struct {
 // and has no compile-stampede control: both live with the caller (the
 // serving runtime's singleflight cache), which asks the store at most
 // once per key.
-//
-// Each decoded plan has its own Network, but plans loaded through one
-// store share every code tensor whose content a plan loaded before
-// already holds (see codeTable). A plan is read-only once built — the
-// serving cache shares each plan across concurrent requests — so
-// sharing its codes across plans is equally safe.
 type Store struct {
 	backend Backend
-	codes   codeTable
 	stats   struct {
 		diskHits, misses  atomic.Int64
 		stale, corrupt    atomic.Int64
@@ -152,7 +142,6 @@ func (s *Store) Get(k Key) (*core.Plan, bool) {
 		s.stats.misses.Add(1)
 		return nil, false
 	}
-	s.codes.share(p)
 	s.stats.diskHits.Add(1)
 	return p, true
 }
@@ -185,45 +174,4 @@ func (s *Store) Stats() Stats {
 		Saves:      s.stats.saves.Load(),
 		SaveErrors: s.stats.saveErrors.Load(),
 	}
-}
-
-// codeTable holds one code tensor per distinct content among the plans
-// a store has decoded. A stage's codes depend only on the network, the
-// bit width, LHR and δ — a plan's baseline codes on the first two
-// alone — so plans that differ in mode, seed or δ repeat most of each
-// other's codes. The table keeps every tensor it records for the
-// store's lifetime, as the serving cache above it keeps every plan.
-type codeTable struct {
-	mu sync.Mutex
-	// held lists the recorded tensors by layer name.
-	held map[string][]*tensor.Int
-}
-
-// share replaces each code tensor of p by an equal one the table
-// already holds, and records the others.
-func (t *codeTable) share(p *core.Plan) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.held == nil {
-		t.held = make(map[string][]*tensor.Int)
-	}
-	for _, c := range []*compiler.Compiled{p.Baseline, p.AIM} {
-		for _, lp := range c.Plans {
-			if lp.Quant != nil {
-				lp.Quant.Codes = t.intern(lp.Layer.Name, lp.Quant.Codes)
-			}
-		}
-	}
-}
-
-// intern returns the tensor held for layer that equals codes,
-// recording codes if there is none.
-func (t *codeTable) intern(layer string, codes *tensor.Int) *tensor.Int {
-	for _, h := range t.held[layer] {
-		if h.Bits == codes.Bits && slices.Equal(h.Data, codes.Data) && slices.Equal(h.Shape, codes.Shape) {
-			return h
-		}
-	}
-	t.held[layer] = append(t.held[layer], codes)
-	return codes
 }

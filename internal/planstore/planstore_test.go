@@ -56,8 +56,8 @@ func TestRoundTripExecutesByteIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(decoded, weightless(plan)) {
-				t.Fatal("decoded plan is not deeply equal to the compiled one minus its weights")
+			if !reflect.DeepEqual(decoded, withoutWeightsAndCodes(plan)) {
+				t.Fatal("decoded plan is not deeply equal to the compiled one minus its weights and codes")
 			}
 			checkDecodedPlan(t, decoded, plan)
 			// Structural fidelity: re-encoding the decoded plan must
@@ -103,11 +103,12 @@ func TestRoundTripExecutesByteIdentically(t *testing.T) {
 	}
 }
 
-// weightless returns a copy of p whose layers carry no float weights:
-// what a decoded plan must equal. p itself is left untouched, and the
-// copy keeps p's aliasing (layer plans point into the copied network,
+// withoutWeightsAndCodes returns a copy of p whose layers carry no
+// float weights and whose layer plans carry no weight codes: what a
+// decoded plan must equal. p itself is left untouched, and the copy
+// keeps p's aliasing (layer plans point into the copied network,
 // waves into the copied plan slice).
-func weightless(p *core.Plan) *core.Plan {
+func withoutWeightsAndCodes(p *core.Plan) *core.Plan {
 	net := *p.Net
 	net.Layers = make([]*model.Layer, len(p.Net.Layers))
 	layers := make(map[*model.Layer]*model.Layer, len(net.Layers))
@@ -124,6 +125,7 @@ func weightless(p *core.Plan) *core.Plan {
 		for i, lp := range c.Plans {
 			cp := *lp
 			cp.Layer = layers[lp.Layer]
+			cp.Quant = nil
 			out.Plans[i], plans[lp] = &cp, &cp
 		}
 		out.Waves = make([]*compiler.Wave, len(c.Waves))
@@ -141,13 +143,21 @@ func weightless(p *core.Plan) *core.Plan {
 }
 
 // checkDecodedPlan asserts what a decoded plan adds to deep equality
-// with its weightless original: no layer carries weights, and both
-// stages report the original's quality.
+// with its original minus weights and codes: no layer carries weights,
+// no layer plan carries codes, and both stages report the original's
+// quality.
 func checkDecodedPlan(t testing.TB, decoded, plan *core.Plan) {
 	t.Helper()
 	for _, l := range decoded.Net.Layers {
 		if l.Weights != nil {
 			t.Fatalf("decoded layer %s carries float weights", l.Name)
+		}
+	}
+	for _, c := range []*compiler.Compiled{decoded.Baseline, decoded.AIM} {
+		for _, lp := range c.Plans {
+			if lp.Quant != nil {
+				t.Fatalf("decoded plan of layer %s carries weight codes", lp.Layer.Name)
+			}
 		}
 	}
 	if decoded.Baseline.Quality() != plan.Baseline.Quality() || decoded.AIM.Quality() != plan.AIM.Quality() {
@@ -326,10 +336,9 @@ func TestStoreGetDecodesEveryTime(t *testing.T) {
 }
 
 // TestStoreConcurrentGets: two keys of one network loaded from one
-// store each equal their fresh compile minus the weights and execute
-// byte-identically to it — also when loaded and executed concurrently
-// (run under -race). The loads share every baseline code tensor (the
-// two seeds' baseline codes are equal) and no AIM one with it.
+// store each equal their fresh compile minus the weights and codes and
+// execute byte-identically to it — also when loaded and executed
+// concurrently (run under -race).
 func TestStoreConcurrentGets(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -356,35 +365,17 @@ func TestStoreConcurrentGets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded []*core.Plan
 	for i, k := range keys {
 		p, ok := s2.Get(k)
 		if !ok {
 			t.Fatalf("%s missed", k.ID())
 		}
-		if !reflect.DeepEqual(p, weightless(plans[i])) {
-			t.Fatalf("%s: loaded plan differs from the compiled one minus its weights", k.ID())
+		if !reflect.DeepEqual(p, withoutWeightsAndCodes(plans[i])) {
+			t.Fatalf("%s: loaded plan differs from the compiled one minus its weights and codes", k.ID())
 		}
 		if got := execute(k, p); !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("%s executed differently after a load", k.ID())
 		}
-		loaded = append(loaded, p)
-	}
-	shared := 0
-	for i, lp := range loaded[1].Baseline.Plans {
-		if lp.Quant == nil {
-			continue
-		}
-		if lp.Quant.Codes != loaded[0].Baseline.Plans[i].Quant.Codes {
-			t.Fatalf("baseline codes of %s are not shared", lp.Layer.Name)
-		}
-		if loaded[1].AIM.Plans[i].Quant.Codes == lp.Quant.Codes {
-			t.Fatalf("%s: AIM codes share the baseline tensor", lp.Layer.Name)
-		}
-		shared++
-	}
-	if shared == 0 {
-		t.Fatal("no code tensor to share")
 	}
 
 	s3, err := Open(dir)
